@@ -6,7 +6,8 @@ all optimizations, per-grammar seeded corpora), the E3 cumulative
 optimization ladder on the Jay corpus, the E11 real-Python corpus
 throughput (every backend over ``examples/python/``), and the E12
 incremental-reparse ratio (warm edit reparse vs cold parse, both
-incremental backends, Jay and real-Python buffers), and *appends* one
+incremental backends, Jay and real-Python buffers, on renames and on the
+rejecting steps of line retypes), and *appends* one
 record to ``BENCH_5.json``.  ``--backends`` restricts which backends the
 E5/E11 sections measure (e.g. ``--backends vm`` for a machine-only
 record).  Each record
@@ -183,12 +184,73 @@ def measure_e11(repeat: int, backends: tuple[str, ...] = E11_BACKENDS) -> dict[s
 E12_BACKENDS = ("vm", "closures")
 
 
+#: Lines retyped by the E12 retype rows (one ``retype_edits`` script each).
+E12_RETYPES = 4
+
+
+def _cold_parser(language, backend: str):
+    """``parse(text)``: one from-scratch pass of the incremental program a
+    session of ``backend`` runs, without the session's reject handling."""
+    if backend == "vm":
+        from repro.vm import VMParser
+
+        parser = VMParser(language.vm_program(incremental=True), incremental=True)
+        return lambda text: parser.reset(text).parse()
+    from repro.interp.closures import ClosureParser
+
+    prepared = language.prepared
+    return ClosureParser(
+        prepared.grammar, chunked=prepared.chunked_memo, incremental=True
+    ).parse
+
+
+def _timed_parse(parse, *args) -> tuple[float, bool]:
+    start = time.perf_counter()
+    try:
+        parse(*args)
+    except repro.ParseError:
+        return time.perf_counter() - start, False
+    return time.perf_counter() - start, True
+
+
+def _e12_row(language, text: str, edits: list, rejects: bool) -> dict:
+    """Warm and cold seconds per backend over ``edits``: every step, or with
+    ``rejects`` only the steps whose buffer does not parse."""
+    row: dict = {"chars": len(text), "edits": 0, "backends": {}}
+    for backend in E12_BACKENDS:
+        warm = language.incremental(backend=backend)
+        warm.set_text(text)
+        warm.parse()
+        cold = _cold_parser(language, backend)
+        current = text
+        warm_s = cold_s = 0.0
+        count = 0
+        for edit in edits:
+            warm.apply_edit(edit.offset, edit.removed, edit.inserted)
+            current = edit.apply(current)
+            warm_step, accepted = _timed_parse(warm.parse)
+            if rejects and accepted:
+                continue
+            warm_s += warm_step
+            cold_s += _timed_parse(cold, current)[0]
+            count += 1
+        row["edits"] = count
+        row["backends"][backend] = {
+            "warm_seconds": round(warm_s, 6),
+            "cold_seconds": round(cold_s, 6),
+            "speedup": round(cold_s / warm_s, 2),
+        }
+    return row
+
+
 def measure_e12(edits: int = 8) -> dict[str, dict]:
     """Warm-vs-cold reparse ratio per incremental backend (see benchmark
-    E12): a seeded identifier-rename script over a Jay program and a
-    layouted real-Python stdlib source; ``speedup`` is total cold seconds
-    over total warm seconds for the whole script."""
-    from repro.workloads.pyedits import corpus_texts, rename_edits
+    E12) over a Jay program and a layouted real-Python stdlib source: a
+    seeded identifier-rename script, and (``… retype`` rows) the rejecting
+    steps of seeded line retypes.  ``speedup`` is total cold seconds over
+    total warm seconds; cold is one from-scratch pass of the same
+    incremental program."""
+    from repro.workloads.pyedits import corpus_texts, rename_edits, retype_edits
 
     buffers = {
         "jay.Jay": (
@@ -203,30 +265,11 @@ def measure_e12(edits: int = 8) -> dict[str, dict]:
 
     results: dict[str, dict] = {}
     for key, (language, text) in buffers.items():
-        entry: dict = {"chars": len(text), "edits": edits, "backends": {}}
-        for backend in E12_BACKENDS:
-            warm = language.incremental(backend=backend)
-            warm.set_text(text)
-            warm.parse()
-            cold = language.incremental(backend=backend)
-            current = text
-            warm_s = cold_s = 0.0
-            for edit in rename_edits(text, random.Random(5), edits):
-                warm.apply_edit(edit.offset, edit.removed, edit.inserted)
-                current = edit.apply(current)
-                start = time.perf_counter()
-                warm.parse()
-                warm_s += time.perf_counter() - start
-                cold.set_text(current)
-                start = time.perf_counter()
-                cold.parse()
-                cold_s += time.perf_counter() - start
-            entry["backends"][backend] = {
-                "warm_seconds": round(warm_s, 6),
-                "cold_seconds": round(cold_s, 6),
-                "speedup": round(cold_s / warm_s, 2),
-            }
-        results[key] = entry
+        renames = list(rename_edits(text, random.Random(5), edits))
+        results[key] = _e12_row(language, text, renames, rejects=False)
+        rng = random.Random(5)
+        retypes = [e for _ in range(E12_RETYPES) for e in retype_edits(text, rng)]
+        results[f"{key} retype"] = _e12_row(language, text, retypes, rejects=True)
     return results
 
 

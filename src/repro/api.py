@@ -250,6 +250,12 @@ class Language:
         damage, not the buffer (see ``docs/incremental.md``).  ``backend``
         is ``"vm"`` (default) or ``"closures"``; both run watermark-
         instrumented twins whose results are identical to a cold parse.
+
+        Rejects are exact too: a warm parse that fails runs a second warm
+        pass that re-derives only the memo hits examined past its farthest
+        offset, so the :class:`~repro.errors.ParseError` (offset, ordered
+        expected tuple, line, column) is the one a cold parse reports, at
+        about the cost of a warm reparse.
         """
         from repro.incremental import IncrementalSession
 

@@ -398,13 +398,14 @@ class EditOracle:
     Comparison semantics follow the preparation boundary documented on
     :data:`BACKEND_TABLE`: warm vs cold of the **same** incremental program
     must agree *bit-identically* — verdict, structural AST, farthest-failure
-    offset, and expected **set** (the incremental program is its own
-    preparation: unfused regexes and memoize-everything give it its own
+    offset, and the ordered expected **tuple** (order matters: error
+    messages keep only its first entries; the incremental program is its
+    own preparation: unfused regexes and memoize-everything give it its own
     expected-set vocabulary, so it is only error-comparable to itself).
     Across the two incremental backends only verdict, AST, and offset are
-    compared.  A warm reject that the failure-fidelity cold rerun turns
-    into an accept (``last_parse_recovered``) is reported as a disagreement
-    in its own right: it means a memo entry survived an edit it depended on.
+    compared.  A warm reject that the session's second pass turns into an
+    accept (``last_parse_recovered``) is reported as a disagreement in its
+    own right: it means a memo entry survived an edit it depended on.
     """
 
     def __init__(
@@ -492,7 +493,7 @@ class EditOracle:
                         Disagreement(
                             current, f"cold-{name}", f"warm-{name}",
                             outcome, outcome,
-                            f"step {step}: warm reject recovered by cold rerun "
+                            f"step {step}: warm reject accepted by the second pass "
                             "(a memo entry survived an edit it depended on)",
                         )
                     )
@@ -549,9 +550,9 @@ class EditOracle:
             return None
         if ref.offset != other.offset:
             return f"farthest-failure offsets differ: {ref.offset} != {other.offset}"
-        if same_program and set(ref.expected) != set(other.expected):
+        if same_program and ref.expected != other.expected:
             return (
-                "expected sets differ: "
-                f"{sorted(set(ref.expected))} != {sorted(set(other.expected))}"
+                "expected sets differ in members or order: "
+                f"{ref.expected} != {other.expected}"
             )
         return None

@@ -28,13 +28,32 @@ examine unboundedly far past its match end, are compiled back to their
 original expressions in incremental programs so the watermark stays tight.
 See ``docs/incremental.md`` for the algorithm and invariant.
 
-Failure fidelity: memoized results do not replay the expected-set records
-their original computation made, so when a *warm* reparse rejects, the
-session clears the memo table and re-runs cold — the reported error is
-always bit-identical to a from-scratch parse.  The cold re-run also acts as
-a tripwire: if it *accepts* where the warm pass rejected, an invalidation
-bug exists, and :attr:`~IncrementalSession.last_parse_recovered` flags it
-(the differential edit oracle asserts it never fires).
+Failure fidelity: a served memo hit does not replay the expected-set
+records its original computation made, so a *warm* reject may stop short
+of the cold farthest-failure frontier.  Both watermarks push the examined
+end past every failure they record, so **every failure record of a
+memoized computation lies inside its examined span**.  After a warm reject
+at farthest offset ``F`` the session therefore runs a second warm pass in
+which a hit is served only if its examined end is ``<= F``; a hit
+examined past ``F`` — the only kind that can hide a record at or beyond
+``F`` — is re-derived, at most once per pass.  Every computation that
+records at or past ``F`` then runs where a cold parse runs it, so the
+error is bit-identical to a from-scratch parse: offset and the ordered
+expected tuple.  The once-per-pass key set matters: a re-derived entry
+still examines past ``F``, and without the set each later call would
+re-derive it again.
+
+Per-entry failure records (store each entry's frontier contribution and
+merge it on every hit) would give the same exactness, but in a prototype
+saving and merging the frontier at every call made cold incremental
+parses 40–60% slower, and they widen every memo entry; the examined spans
+already kept for invalidation bound the second pass instead.
+
+:attr:`~IncrementalSession.last_parse_recovered` flags a second pass that
+*accepts* where the first rejected: an entry examined past ``F`` survived
+an edit it depended on (the differential edit oracle asserts it never
+fires).  A stale entry examined only up to ``F`` is served by both passes
+and shows up in the oracle as a warm/cold verdict mismatch instead.
 
 :class:`StreamFeeder` is the streaming half: it frames a chunked character
 stream into newline-delimited documents and (optionally) parses each one as
@@ -49,6 +68,7 @@ from typing import Any, Callable
 
 from repro.errors import ParseError
 from repro.locations import LineIndex, Location
+from repro.runtime.memo import NO_FRONTIER
 from repro.runtime.node import GNode
 
 #: Backends :meth:`repro.Language.incremental` accepts.
@@ -90,7 +110,6 @@ class IncrementalSession:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         self._language = language
         self._start = start or language.grammar.start
-        self._backend_name = backend
         self._profile = profile
         self._depth_budget = depth_budget
         self._text = ""
@@ -109,6 +128,7 @@ class IncrementalSession:
                 program, "", self._source, depth_budget=depth_budget, incremental=True
             )
             self._memo = self._parser._memo
+            self._target = self._parser
             self._run = self._run_vm
         else:
             from repro.interp.closures import ClosureParser
@@ -118,6 +138,7 @@ class IncrementalSession:
             )
             self._state = self._closures.incremental_state("", self._source)
             self._memo = self._state.memo
+            self._target = self._state
             self._run = self._run_closures
 
     # -- backend adapters -----------------------------------------------------
@@ -132,8 +153,7 @@ class IncrementalSession:
             return self._closures.reparse(self._state, self._start)
 
     def _rebind(self) -> None:
-        target = self._parser if self._backend_name == "vm" else self._state
-        target.rebind(self._text, self._index, source=self._source)
+        self._target.rebind(self._text, self._index, source=self._source)
 
     # -- the buffer -----------------------------------------------------------
 
@@ -149,10 +169,14 @@ class IncrementalSession:
 
     @property
     def last_parse_recovered(self) -> bool:
-        """Did the last :meth:`parse` succeed only after the cold-rerun
-        fallback?  Always False in a correct build — a warm reject that a
-        cold parse accepts means a memo entry survived an edit it depended
-        on.  The differential edit oracle asserts this never fires."""
+        """Did the last :meth:`parse` accept only in its second pass?
+
+        Always False in a correct build: both passes serve memo entries
+        that are valid for the text, so they reach the same verdict.  A
+        second-pass accept means an entry examined past the reject frontier
+        survived an edit it depended on.  The differential edit oracle
+        asserts this never fires (a stale entry inside the frontier shows
+        up there as a warm/cold verdict mismatch instead)."""
         return self._recovered
 
     def memo_entry_count(self) -> int:
@@ -227,23 +251,27 @@ class IncrementalSession:
         """Parse the current buffer, serving surviving memo entries.
 
         Raises :class:`~repro.errors.ParseError` on failure with exactly the
-        error a cold parse reports (warm failures re-run cold — see the
-        module docstring).
+        error a cold parse reports: a warm reject is followed by a second
+        pass bounded by its farthest offset (see the module docstring).
         """
         self._recovered = False
         try:
             value = self._run()
-        except ParseError:
-            # A memo hit swallows the expected-set records its original
-            # computation made, so a warm reject's diagnosis may be
-            # incomplete.  Re-derive it cold; same verdict, exact error.
-            self._memo.reset()
+        except ParseError as warm_error:
+            # Served hits do not replay their failure records, so the cold
+            # frontier may lie past this one.  Rerun, re-deriving every hit
+            # that examined past it: those are the only ones that can hide a
+            # record there.
+            target = self._target
             self._rebind()
+            target._frontier = warm_error.offset
             try:
                 value = self._run()
             except ParseError:
                 self._count_parse(False)
                 raise
+            finally:
+                target._frontier = NO_FRONTIER
             self._recovered = True
             self._count_parse(True)
             return value

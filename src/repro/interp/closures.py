@@ -50,7 +50,7 @@ from repro.peg.production import Production, ValueKind
 from repro.peg.values import binding_names, contributes, kind_lookup, node_name
 from repro.runtime.actionlib import ACTION_GLOBALS
 from repro.runtime.base import ParserBase
-from repro.runtime.memo import IncrementalMemoTable, make_memo_table
+from repro.runtime.memo import NO_FRONTIER, IncrementalMemoTable, make_memo_table
 from repro.runtime.node import GNode
 
 FAIL = -1
@@ -86,13 +86,20 @@ class _IncrementalState(_State):
     failed expectations alike.  The memoized wrapper saves/resets/restores
     it around each frame so every memo entry records exactly the input span
     its cached outcome depends on (see docs/incremental.md).
+
+    ``_frontier`` bounds which memo hits are served: a hit whose examined
+    end lies past it is re-derived instead, once per pass (``_rederived``
+    holds the keys) — a session's second pass after a warm reject
+    (:mod:`repro.incremental`).
     """
 
-    __slots__ = ("examined",)
+    __slots__ = ("examined", "_frontier", "_rederived")
 
     def __init__(self, text: str, memo, source: str):
         super().__init__(text, memo, source)
         self.examined = 0
+        self._frontier = NO_FRONTIER
+        self._rederived: set[tuple[int, int]] = set()
 
     def _expected(self, pos: int, what: str) -> None:
         # A failed expectation at ``pos`` read the character there (or saw
@@ -244,6 +251,7 @@ class ClosureParser:
         state._fail_expected = []
         state._fused_pending.clear()
         state.examined = 0
+        state._rederived.clear()
         matcher = self._matcher_for(start or self.grammar.start)
         try:
             pos, value = matcher(state, 0)
@@ -285,19 +293,22 @@ class ClosureParser:
                 # columns, never rewriting entries.  The watermark is
                 # saved/reset around the frame so the entry records only
                 # *this* production's dependencies, then folded back into
-                # the parent's watermark.
+                # the parent's watermark.  Hits examined past the state's
+                # frontier are re-derived, once per pass.
                 memo = state.memo
                 col = memo._cols[pos]
                 hit = col[index] if col is not None else None
                 if hit is not None:
                     examined = pos + hit[1]
-                    if examined > state.examined:
-                        state.examined = examined
-                    pair = hit[0]
-                    span = pair[0]
-                    if span < 0:
-                        return FAILPAIR
-                    return (pos + span, pair[1])
+                    if examined <= state._frontier or (index, pos) in state._rederived:
+                        if examined > state.examined:
+                            state.examined = examined
+                        pair = hit[0]
+                        span = pair[0]
+                        if span < 0:
+                            return FAILPAIR
+                        return (pos + span, pair[1])
+                    state._rederived.add((index, pos))
                 saved = state.examined
                 state.examined = pos
                 result = run_alternatives(state, pos)

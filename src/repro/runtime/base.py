@@ -51,6 +51,8 @@ class ParserBase:
         not replay the expected-set records their original computation made,
         so a warm re-parse of a failing input would rebuild an incomplete
         farthest-failure frontier.  Failed parses stay cold and exact.
+        (Incremental sessions bound a second pass by examined spans instead,
+        see :mod:`repro.incremental`; plain parsers keep no examined spans.)
         """
         same_text = not self._failed and (text is self._text or text == self._text)
         self._failed = False

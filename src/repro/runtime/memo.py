@@ -228,6 +228,14 @@ class ChunkedMemoTable:
 #: ``_SPAN_CAP`` or more are additionally tracked in an exact side set.
 _SPAN_CAP = 255
 
+#: The frontier of an ordinary incremental pass: every retained entry is
+#: served.  A second pass after a warm reject lowers it to the reject's
+#: farthest offset (see :meth:`repro.incremental.IncrementalSession.parse`).
+#: The largest one-digit CPython int, so the per-hit comparison stays on
+#: the interpreter's fast int path; it exceeds the examined end of any
+#: realistic buffer, and past it a hit is only re-derived, never wrong.
+NO_FRONTIER = (1 << 30) - 1
+
 
 class IncrementalMemoTable:
     """Position-indexed memo table for incremental reparsing.

@@ -66,7 +66,12 @@ from repro.peg.expr import (
 from repro.peg.expr import Choice as ChoiceExpr
 from repro.runtime.actionlib import ACTION_GLOBALS
 from repro.runtime.base import ParserBase
-from repro.runtime.memo import ChunkedMemoTable, IncrementalMemoTable, make_memo_table
+from repro.runtime.memo import (
+    NO_FRONTIER,
+    ChunkedMemoTable,
+    IncrementalMemoTable,
+    make_memo_table,
+)
 from repro.runtime.node import GNode
 from repro.vm.compiler import (
     HALT_IP,
@@ -189,6 +194,8 @@ class VMParser(ParserBase):
             self._memo = IncrementalMemoTable(rule_names).resize(self._length)
         else:
             self._memo = make_memo_table(rule_names, chunked=chunked)
+        #: Examined-end bound on served memo hits (incremental loop only).
+        self._frontier = NO_FRONTIER
 
     # -- public API ---------------------------------------------------------
 
@@ -761,7 +768,13 @@ class VMParser(ParserBase):
         the stored examined end into ``wm``.  Reads that leave no failure
         record — succeeding ``&``/``!`` operands, dispatch probes of
         ``text[pos]`` (SWITCH/GUARD/GCHOICE), SPAN stop positions — bump
-        ``wm`` explicitly; recorded failures bump it in the unwinder.
+        ``wm`` explicitly; recorded failures bump it in the unwinder.  So
+        every failure record lies inside its frame's examined span.
+
+        ``self._frontier`` bounds which hits are served: one whose examined
+        end lies past it is re-derived instead, once per run (``rederived``
+        holds the keys), which is how a session's second pass after a warm
+        reject reproduces the cold frontier (:mod:`repro.incremental`).
         """
         program = self._program
         code = program.code
@@ -773,6 +786,8 @@ class VMParser(ParserBase):
         memo = self._memo
         mput = memo.put
         cols = memo._cols  # position-indexed column list (IncrementalMemoTable)
+        bound = self._frontier
+        rederived: set[tuple[int, int]] = set()
         budget = self._depth_budget
         limit = DEFAULT_STACK_BUDGET if budget is None else budget
 
@@ -802,17 +817,19 @@ class VMParser(ParserBase):
                     hit = column[midx] if column is not None else None
                     if hit is not None:
                         examined = pos + hit[1]
-                        if examined > wm:
-                            wm = examined
-                        pair = hit[0]
-                        span = pair[0]
-                        if span < 0:
-                            ip = 0
-                        else:
-                            pos += span
-                            vals_append(pair[1])
-                            ip += 1
-                        continue
+                        if examined <= bound or (midx, pos) in rederived:
+                            if examined > wm:
+                                wm = examined
+                            pair = hit[0]
+                            span = pair[0]
+                            if span < 0:
+                                ip = 0
+                            else:
+                                pos += span
+                                vals_append(pair[1])
+                                ip += 1
+                            continue
+                        rederived.add((midx, pos))
                 if len(stack) >= limit:
                     self._fail_pos = fail_pos
                     self._fail_expected = fail_exp
@@ -874,17 +891,19 @@ class VMParser(ParserBase):
                     hit = column[midx] if column is not None else None
                     if hit is not None:
                         examined = pos + hit[1]
-                        if examined > wm:
-                            wm = examined
-                        pair = hit[0]
-                        span = pair[0]
-                        if span < 0:
-                            ip = 0
-                        else:
-                            pos += span
-                            env[inst[4]] = pair[1]
-                            ip += 1
-                        continue
+                        if examined <= bound or (midx, pos) in rederived:
+                            if examined > wm:
+                                wm = examined
+                            pair = hit[0]
+                            span = pair[0]
+                            if span < 0:
+                                ip = 0
+                            else:
+                                pos += span
+                                env[inst[4]] = pair[1]
+                                ip += 1
+                            continue
+                        rederived.add((midx, pos))
                 if len(stack) >= limit:
                     self._fail_pos = fail_pos
                     self._fail_expected = fail_exp

@@ -10,6 +10,9 @@ them deterministically from a seed, so benchmark E12 and the differential
   token-level editor action E12 times): pick an identifier occurrence,
   mutate one character, never producing a keyword.  Length-preserving, so
   memo relocation is pure invalidation with no column motion.
+- :func:`retype_edits` — delete the end of a logical line, then type it
+  back one character at a time: the buffer is invalid at almost every
+  step, so this is the workload of warm *rejects* (E12's retype row).
 - :func:`edit_script` — mixed insert/delete/replace edits at token
   boundaries *and* mid-token, with inserted text sampled from the buffer's
   own token vocabulary.  This is the adversarial diet the differential
@@ -31,7 +34,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.workloads.pycorpus import ALLOWLIST, CORPUS_DIR, load_corpus
-from repro.workloads.pylayout import LayoutError, python_layout
+from repro.workloads.pylayout import NEWLINE, SENTINELS, LayoutError, python_layout
 
 #: Identifiers a rename must never produce (or it would change parse
 #: structure on purpose rather than by defect).
@@ -44,6 +47,11 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\s+|.", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+_QUOTES = "'\""
+
+#: Characters :func:`retype_edits` deletes and types back.
+RETYPE_CHARS = 8
 
 
 @dataclass(frozen=True)
@@ -75,9 +83,15 @@ def rename_identifier(text: str, rng, *, exclude: frozenset = PY_KEYWORDS) -> Ed
 
     One character of the name is rotated through the alphabet until the
     result is a fresh non-keyword identifier, so the edit is token-level,
-    length-preserving, and never an accidental no-op.
+    length-preserving, and never an accidental no-op.  A name directly
+    before a quote is a string prefix (``f"..."``, ``rb'...'``), not an
+    identifier, and is never picked.
     """
-    spans = identifier_spans(text, exclude=exclude)
+    spans = [
+        (start, end)
+        for start, end in identifier_spans(text, exclude=exclude)
+        if text[end : end + 1] not in _QUOTES
+    ]
     if not spans:
         return None
     start, end = spans[rng.randrange(len(spans))]
@@ -103,6 +117,37 @@ def rename_edits(text: str, rng, count: int, *, exclude: frozenset = PY_KEYWORDS
             return
         yield edit
         current = edit.apply(current)
+
+
+def retype_edits(text: str, rng) -> list[Edit]:
+    """Retype the end of one logical line: delete its last RETYPE_CHARS
+    characters, then type them back one at a time (RETYPE_CHARS + 1
+    edits, ending at ``text`` again).
+
+    Logical lines end at the layout ``NEWLINE`` sentinel in layouted
+    Python and at ``\\n`` elsewhere.  A line qualifies when its physical
+    last line holds more than RETYPE_CHARS characters past the
+    indentation and no sentinel, ``#`` or backslash; the line is drawn
+    from ``rng``.  Returns ``[]`` when no line qualifies.
+    """
+    end_mark = NEWLINE if NEWLINE in text else "\n"
+    sites = []
+    end = text.find(end_mark)
+    while end >= 0:
+        start = text.rfind("\n", 0, end) + 1
+        while start < end and (text[start] in SENTINELS or text[start] in " \t"):
+            start += 1
+        content = text[start:end]
+        if len(content) > RETYPE_CHARS and not any(c in SENTINELS or c in "#\\" for c in content):
+            sites.append(end - RETYPE_CHARS)
+        end = text.find(end_mark, end + 1)
+    if not sites:
+        return []
+    start = sites[rng.randrange(len(sites))]
+    tail = text[start : start + RETYPE_CHARS]
+    return [Edit(start, RETYPE_CHARS, "")] + [
+        Edit(start + index, 0, char) for index, char in enumerate(tail)
+    ]
 
 
 def _token_spans(text: str) -> list[tuple[int, int]]:

@@ -23,11 +23,27 @@ from repro.difftest import EditOracle, fuzz_edits, shrink_edit_script
 from repro.difftest.oracle import Outcome
 from repro.errors import ParseError
 from repro.incremental import BACKENDS, StreamFeeder
+from repro.meta import ModuleLoader
 from repro.profile import ParseProfile, ProfileReport, build_report, format_report
 from repro.profile.report import REPORT_FORMAT
 from repro.runtime.memo import _SPAN_CAP, IncrementalMemoTable
 from repro.runtime.node import GNode
-from repro.workloads.pyedits import Edit, apply_script, edit_script, rename_edits
+from repro.workloads.pyedits import (
+    Edit,
+    apply_script,
+    corpus_texts,
+    edit_script,
+    rename_edits,
+    retype_edits,
+)
+
+#: ``P`` records a failure one character past its match (the optional
+#: ``"!!"`` against ``"!;"``), beyond where ``S`` then fails at the ``;``.
+HIDDEN_GRAMMAR = """
+module t.Hidden;
+public generic S = void:" "* P void:";" ;
+generic P = "a" "!!"? ;
+"""
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +54,23 @@ def calc():
 @pytest.fixture(scope="module")
 def jay():
     return repro.compile_grammar("jay.Jay")
+
+
+@pytest.fixture(scope="module")
+def hidden():
+    loader = ModuleLoader(include_builtin=False)
+    loader.register_source("t.Hidden", HIDDEN_GRAMMAR)
+    return repro.compile_grammar(repro.load_grammar("t.Hidden", loader=loader))
+
+
+@pytest.fixture(scope="module")
+def python_retype():
+    """The Python language, a corpus buffer, and four seeded line retypes
+    (each ends at the original buffer, so they chain)."""
+    [(_, text)] = corpus_texts(limit=1, max_chars=40_000)
+    rng = random.Random(3)
+    edits = [edit for _ in range(4) for edit in retype_edits(text, rng)]
+    return repro.compile_grammar("python.Python"), text, edits
 
 
 def entry(span: int, value, rel: int):
@@ -206,11 +239,11 @@ class TestIncrementalSession:
         with pytest.raises(ParseError) as cold_err:
             cold.parse()
         assert warm_err.value.offset == cold_err.value.offset
-        assert set(warm_err.value.expected) == set(cold_err.value.expected)
+        assert warm_err.value.expected == cold_err.value.expected
         assert warm_err.value.line == cold_err.value.line
         assert warm_err.value.column == cold_err.value.column
-        # Failure fidelity came from the documented cold rerun, which must
-        # not have *changed* the verdict (that would be an invalidation bug).
+        # Failure fidelity came from the second pass, which must not have
+        # *changed* the verdict (that would be an invalidation bug).
         assert not warm.last_parse_recovered
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -302,6 +335,105 @@ class TestIncrementalSession:
             session.parse()
             assert session.memo_entry_count() > 0
         assert session.memo_entry_count() == 0
+
+
+def _cold_parse(language, backend: str, text: str):
+    """One from-scratch pass of the incremental program, with no session."""
+    if backend == "vm":
+        from repro.vm import VMParser
+
+        program = language.vm_program(incremental=True)
+        return VMParser(program, text, incremental=True).parse()
+    from repro.interp.closures import ClosureParser
+
+    prepared = language.prepared
+    parser = ClosureParser(prepared.grammar, chunked=prepared.chunked_memo, incremental=True)
+    return parser.parse(text)
+
+
+def _error_fields(error: ParseError) -> tuple:
+    return (error.offset, error.line, error.column, error.expected, error.source, str(error))
+
+
+class TestWarmRejectFrontier:
+    """A warm reject runs a second pass that re-derives every memo hit
+    examined past its frontier: the error is exactly the cold one."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_retained_entry_hiding_a_failure_past_the_frontier(self, hidden, backend):
+        session = hidden.incremental(backend=backend)
+        session.set_text("a!;")
+        with pytest.raises(ParseError):
+            session.parse()
+        # P's entry (its "!!" failure recorded at 2) shifts to 1 and is kept.
+        session.apply_edit(0, 0, " ")
+        # Serving it, the first pass alone stops at the ';' mismatch at 2 ...
+        with pytest.raises(ParseError) as first_pass:
+            session._run()
+        assert first_pass.value.offset == 2
+        # ... while the cold parse, and so the session, fails at 3.
+        with pytest.raises(ParseError) as warm:
+            session.parse()
+        with pytest.raises(ParseError) as cold:
+            _cold_parse(hidden, backend, " a!;")
+        assert cold.value.offset == 3
+        assert _error_fields(warm.value) == _error_fields(cold.value)
+        assert not session.last_parse_recovered
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_python_retype_errors_equal_cold_errors(self, python_retype, backend):
+        language, text, edits = python_retype
+        session = language.incremental(backend=backend)
+        session.set_text(text)
+        session.parse()
+        rejects = 0
+        for edit in edits:
+            session.apply_edit(edit.offset, edit.removed, edit.inserted)
+            try:
+                session.parse()
+            except ParseError as warm:
+                rejects += 1
+                with pytest.raises(ParseError) as cold:
+                    _cold_parse(language, backend, session.text)
+                assert _error_fields(warm) == _error_fields(cold.value)
+            assert not session.last_parse_recovered
+        assert session.text == text
+        assert rejects >= 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_second_pass_stores_are_few_and_unique(self, python_retype, backend):
+        language, text, edits = python_retype
+        session = language.incremental(backend=backend)
+        session.set_text(text)
+        session.parse()
+        memo = session._memo
+        passes: list[list[tuple[int, int]]] = []
+        plain_put, plain_run = memo.put, session._run
+
+        def put(rule, pos, entry):
+            passes[-1].append((rule, pos))
+            plain_put(rule, pos, entry)
+
+        def run():
+            passes.append([])
+            return plain_run()
+
+        memo.put = put
+        session._run = run
+        rejects = 0
+        for edit in edits:
+            session.apply_edit(edit.offset, edit.removed, edit.inserted)
+            passes.clear()
+            try:
+                session.parse()
+            except ParseError:
+                rejects += 1
+                first, second = passes
+                assert len(first) + len(second) < 0.05 * session.memo_entry_count()
+                # The first pass may store a key the second re-derives; within
+                # one pass no key is stored twice.
+                assert len(set(second)) == len(second)
+        assert rejects >= 3
 
 
 class TestSessionMemoRetention:
@@ -458,6 +590,12 @@ class TestEditOracle:
         # Expected sets compare within one program, never across programs.
         assert "expected sets" in compare(*mismatch, same_program=True)
         assert compare(*mismatch, same_program=False) is None
+        # Order counts too: error messages keep only the first entries.
+        reordered = (
+            Outcome(accepted=False, offset=3, expected=("'a'", "'b'")),
+            Outcome(accepted=False, offset=3, expected=("'b'", "'a'")),
+        )
+        assert "order" in compare(*reordered, same_program=True)
         # Resource limits are backend properties, not semantic verdicts.
         assert compare(
             Outcome(accepted=False, crash="RecursionError"), accept, same_program=True
@@ -546,6 +684,24 @@ class TestWorkloadEditScripts:
             assert not keyword.iskeyword(edit.inserted)
             current = edit.apply(current)
         assert len(current) == len(text)
+
+    def test_renames_skip_string_prefixes(self):
+        text = 'v = f"a" + rb\'b\' + u"c" + Rf"d" + name\n'
+        for seed in range(40):
+            current = text
+            for edit in rename_edits(text, random.Random(seed), 5):
+                assert current[edit.offset + edit.removed] not in "'\""
+                current = edit.apply(current)
+
+    def test_retype_edits_delete_then_type_back(self):
+        text = "{\n  return alpha + beta;\n}\n"
+        start = text.index(" + beta;")
+        edits = retype_edits(text, random.Random(1))
+        assert edits == [Edit(start, 8, "")] + [
+            Edit(start + index, 0, char) for index, char in enumerate(" + beta;")
+        ]
+        assert apply_script(text, edits) == text
+        assert retype_edits("a\nb\n", random.Random(1)) == []
 
     def test_edit_dataclass_apply(self):
         assert Edit(1, 2, "XY").apply("abcd") == "aXYd"
