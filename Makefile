@@ -67,12 +67,12 @@ vm-smoke:
 
 # Incremental-reparsing smoke: the incremental test file (memo surgery,
 # session semantics, streaming, the 200-script edit property), then a
-# bounded differential edit-fuzz run — warm reparses after seeded edit
-# scripts checked bit-identically against cold parses.  See
-# docs/incremental.md.
+# bounded differential edit-fuzz run over every fuzz-matrix grammar — warm
+# reparses after seeded edit scripts checked bit-identically against cold
+# parses, and against the generated parser.  See docs/incremental.md.
 incremental-smoke:
 	$(PYTHON) -m pytest -q tests/test_incremental.py
-	$(PYTHON) -m repro.tools.fuzz calc jay -n 60 --edits 4 --seed 20260807
+	$(PYTHON) -m repro.tools.fuzz calc json jay xc ml -n 60 --edits 4 --seed 20260807
 
 # Full seeded differential fuzz: 500 generated + 500 mutated inputs per
 # grammar through every backend, strict about generator health.

@@ -4,13 +4,13 @@ Two series over the checked-in stdlib corpus (``examples/python/``, see its
 README for provenance):
 
 (a) corpus throughput (bytes/sec of raw source) of each backend — packrat
-    interpreter, closure compiler, generated parser, parsing machine — over
+    interpreter, generated parser, parsing machine — over
     every non-allowlisted corpus file, layout pre-pass included in the
     timing (it is part of what a client pays to parse Python);
 (b) E4-style linearity on a large real-Python input: a ≥100 KB file built
     by concatenating corpus modules must parse in time linear in its size.
 
-Expected shape: (a) generated > closures > interpreter, all in the
+Expected shape: (a) generated and vm > interpreter, all in the
 hundreds-of-KB/s range; (b) R² ≥ 0.98 for the linear fit.
 """
 
@@ -20,7 +20,6 @@ import pytest
 
 import repro
 from repro.interp import PackratInterpreter
-from repro.interp.closures import ClosureParser
 from repro.optim import Options, prepare
 from repro.workloads import load_corpus, python_layout
 from repro.workloads.pycorpus import ALLOWLIST
@@ -43,12 +42,10 @@ def python_backends():
     full = prepare(grammar, Options.all(), check=False)
     language = repro.compile_grammar(grammar)
     interpreter = PackratInterpreter(full.grammar, chunked=True)
-    closures = ClosureParser(full.grammar, chunked=True)
     vm_session = language.session(backend="vm")
     session = language.session()
     return [
         ("interpreter", interpreter.parse),
-        ("closures", closures.parse),
         ("vm", vm_session.parse),
         ("generated", session.parse),
     ]
@@ -82,11 +79,9 @@ def test_e11a_corpus_throughput_per_backend(benchmark, corpus_texts, python_back
 
     assert len(corpus_texts) >= 20 and total_bytes >= 300_000
     # The compiled backends must beat the interpreter; the generated parser
-    # is the fast path clients get from Language.parse, and the parsing
-    # machine must beat the closures it replaces.
+    # is the fast path clients get from Language.parse.
     assert throughput["generated"] > throughput["interpreter"]
-    assert throughput["closures"] > throughput["interpreter"]
-    assert throughput["vm"] > throughput["closures"]
+    assert throughput["vm"] > throughput["interpreter"]
 
     _, fastest = python_backends[-1]
     small = [t for _, t, n in corpus_texts if n < 15_000]

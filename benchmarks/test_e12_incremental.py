@@ -4,15 +4,14 @@ The incremental subsystem (``docs/incremental.md``) promises that an
 editor-style token-level edit invalidates only the memo columns whose
 examined spans overlap the damage, so a warm reparse costs work
 proportional to the damage, not the buffer.  This experiment measures
-that, per incremental backend (the parsing machine and the closure
-compiler):
+that on the parsing machine's incremental sessions:
 
 - **Jay**: a seeded generated program; the edit script is same-length
   identifier renames (:func:`repro.workloads.pyedits.rename_edits`), the
   canonical editor action.  Warm = ``apply_edit`` + ``parse`` on a live
   :class:`~repro.incremental.IncrementalSession`; cold = one from-scratch
-  parse of the identical buffer by the same backend running the same
-  incremental program (so the comparison isolates memo reuse).
+  parse of the identical buffer by the same incremental program (so the
+  comparison isolates memo reuse).
 - **Real Python**: a layout-preprocessed stdlib source from
   ``examples/python/`` under the modular ``python.Python`` grammar —
   the at-scale version of the same measurement.
@@ -24,7 +23,7 @@ compiler):
   parse for the floor to hold.
 
 The acceptance bar — warm reparse >= 10x faster than cold, both
-backends, both corpora, accepts and rejects — is the floor; the measured
+corpora, accepts and rejects — is the floor; the measured
 ratios on the seeded corpora are well above it (the warm parse
 re-derives only the damaged spine).  Correctness is not re-proven here
 (the differential edit oracle in ``repro.difftest`` owns that); the runs
@@ -45,8 +44,6 @@ from bench_util import print_table
 #: Acceptance floor: warm edit reparse at least this much faster than cold.
 MIN_SPEEDUP = 10.0
 
-BACKENDS = ("vm", "closures")
-
 #: Edits per measurement (each timed warm and cold; totals are compared).
 EDITS = 8
 
@@ -54,20 +51,13 @@ EDITS = 8
 RETYPES = 4
 
 
-def _cold_parser(language, backend: str):
+def _cold_parser(language):
     """``parse(text)``: one from-scratch pass of the incremental program a
-    session of ``backend`` runs, without the session's reject handling."""
-    if backend == "vm":
-        from repro.vm import VMParser
+    session runs, without the session's reject handling."""
+    from repro.vm import VMParser
 
-        parser = VMParser(language.vm_program(incremental=True), incremental=True)
-        return lambda text: parser.reset(text).parse()
-    from repro.interp.closures import ClosureParser
-
-    prepared = language.prepared
-    return ClosureParser(
-        prepared.grammar, chunked=prepared.chunked_memo, incremental=True
-    ).parse
+    parser = VMParser(language.vm_program(incremental=True), incremental=True)
+    return lambda text: parser.reset(text).parse()
 
 
 def _timed_parse(parse, *args) -> tuple[float, bool]:
@@ -80,13 +70,13 @@ def _timed_parse(parse, *args) -> tuple[float, bool]:
     return time.perf_counter() - start, True
 
 
-def _measure(language, backend: str, text: str, edits, *, rejects: bool = False) -> dict:
+def _measure(language, text: str, edits, *, rejects: bool = False) -> dict:
     """Total warm vs cold reparse seconds over one edit script: every step
     must accept, or with ``rejects`` only the rejecting steps count."""
-    warm = language.incremental(backend=backend)
+    warm = language.incremental()
     warm.set_text(text)
     warm.parse()  # populate the memo table
-    cold = _cold_parser(language, backend)
+    cold = _cold_parser(language)
     current = text
     warm_s = cold_s = 0.0
     count = 0
@@ -97,7 +87,7 @@ def _measure(language, backend: str, text: str, edits, *, rejects: bool = False)
         assert not warm.last_parse_recovered
         if rejects and accepted:
             continue
-        assert accepted or rejects, f"{backend}: step {edit} rejected"
+        assert accepted or rejects, f"step {edit} rejected"
         cold_step, cold_accepted = _timed_parse(cold, current)
         assert cold_accepted == accepted
         warm_s += warm_step
@@ -105,7 +95,6 @@ def _measure(language, backend: str, text: str, edits, *, rejects: bool = False)
         count += 1
     assert count > 0, "no step was timed"
     return {
-        "backend": backend,
         "edits": count,
         "chars": len(text),
         "warm_s": warm_s,
@@ -114,21 +103,19 @@ def _measure(language, backend: str, text: str, edits, *, rejects: bool = False)
     }
 
 
-def _report(title: str, rows: list[dict]) -> None:
+def _report(title: str, row: dict) -> None:
     print_table(
         title,
         [
             {
-                "backend": r["backend"],
-                "chars": r["chars"],
-                "edits": r["edits"],
-                "warm (ms/edit)": f"{r['warm_s'] / r['edits'] * 1000:.3f}",
-                "cold (ms/edit)": f"{r['cold_s'] / r['edits'] * 1000:.3f}",
-                "speedup": f"{r['speedup']:.1f}x",
+                "chars": row["chars"],
+                "edits": row["edits"],
+                "warm (ms/edit)": f"{row['warm_s'] / row['edits'] * 1000:.3f}",
+                "cold (ms/edit)": f"{row['cold_s'] / row['edits'] * 1000:.3f}",
+                "speedup": f"{row['speedup']:.1f}x",
             }
-            for r in rows
         ],
-        ["backend", "chars", "edits", "warm (ms/edit)", "cold (ms/edit)", "speedup"],
+        ["chars", "edits", "warm (ms/edit)", "cold (ms/edit)", "speedup"],
     )
 
 
@@ -136,17 +123,13 @@ def test_e12_jay_incremental_reparse(benchmark, jay_all):
     from repro.workloads import generate_jay_program
 
     text = generate_jay_program(size=14, seed=11)
-    rows = []
-    for backend in BACKENDS:
-        edits = list(rename_edits(text, random.Random(5), EDITS))
-        rows.append(_measure(jay_all, backend, text, edits))
-    _report(f"E12 — Jay ({len(text)} chars), token rename, warm vs cold", rows)
+    edits = list(rename_edits(text, random.Random(5), EDITS))
+    row = _measure(jay_all, text, edits)
+    _report(f"E12 — Jay ({len(text)} chars), token rename, warm vs cold", row)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for row in rows:
-        assert row["speedup"] >= MIN_SPEEDUP, (
-            f"{row['backend']}: warm reparse only {row['speedup']:.1f}x over cold "
-            f"(floor {MIN_SPEEDUP}x)"
-        )
+    assert row["speedup"] >= MIN_SPEEDUP, (
+        f"warm reparse only {row['speedup']:.1f}x over cold (floor {MIN_SPEEDUP}x)"
+    )
 
 
 def _retype_script(text: str) -> list:
@@ -165,38 +148,30 @@ def test_e12_retype_rejects(benchmark, jay_all):
         (f"real Python ({name})", python, python_text),
     ]
     for label, language, text in buffers:
-        edits = _retype_script(text)
-        rows = [
-            _measure(language, backend, text, edits, rejects=True) for backend in BACKENDS
-        ]
+        row = _measure(language, text, _retype_script(text), rejects=True)
         _report(
             f"E12 — {label} ({len(text)} chars), retype, rejecting steps only, "
             "warm vs cold",
-            rows,
+            row,
         )
-        for row in rows:
-            assert row["speedup"] >= MIN_SPEEDUP, (
-                f"{label}/{row['backend']}: warm reject only {row['speedup']:.1f}x "
-                f"over cold (floor {MIN_SPEEDUP}x)"
-            )
+        assert row["speedup"] >= MIN_SPEEDUP, (
+            f"{label}: warm reject only {row['speedup']:.1f}x "
+            f"over cold (floor {MIN_SPEEDUP}x)"
+        )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_e12_python_corpus_incremental_reparse(benchmark):
     language = repro.compile_grammar("python.Python")
     [(name, text)] = corpus_texts(limit=1, max_chars=40_000)
-    rows = []
-    for backend in BACKENDS:
-        edits = list(rename_edits(text, random.Random(5), EDITS))
-        rows.append(_measure(language, backend, text, edits))
+    edits = list(rename_edits(text, random.Random(5), EDITS))
+    row = _measure(language, text, edits)
     _report(
         f"E12 — real Python ({name}, {len(text)} layouted chars), "
         "token rename, warm vs cold",
-        rows,
+        row,
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for row in rows:
-        assert row["speedup"] >= MIN_SPEEDUP, (
-            f"{row['backend']}: warm reparse only {row['speedup']:.1f}x over cold "
-            f"(floor {MIN_SPEEDUP}x)"
-        )
+    assert row["speedup"] >= MIN_SPEEDUP, (
+        f"warm reparse only {row['speedup']:.1f}x over cold (floor {MIN_SPEEDUP}x)"
+    )

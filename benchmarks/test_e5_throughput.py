@@ -6,10 +6,11 @@ Parses the same Jay corpus with every backend in the repository:
   compiler engineer would write),
 - the generated packrat parser, fully optimized,
 - the generated packrat parser with no optimizations (textbook packrat),
+- the parsing machine (the optimized grammar lowered to bytecode),
 - the memoizing grammar interpreter, and
 - the non-memoizing grammar interpreter.
 
-All five produce identical trees (asserted), so throughput is apples to
+All six produce identical trees (asserted), so throughput is apples to
 apples.  Expected shape — who wins, by roughly what factor (the paper
 reports its generated parsers within a small factor of hand-written ones,
 and far ahead of naive interpretation):
@@ -19,13 +20,12 @@ and far ahead of naive interpretation):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import JayParser
-from repro.interp import BacktrackInterpreter, ClosureParser, PackratInterpreter
+from repro.interp import BacktrackInterpreter, PackratInterpreter
 from repro.optim import Options
+from repro.vm import VMParser, compile_program
 
-from bench_util import compile_with, print_table, time_best_of, usable_cpus
+from bench_util import compile_with, print_table, time_best_of
 
 
 def test_e5_throughput_table(benchmark, jay_grammar, jay_corpus):
@@ -33,7 +33,7 @@ def test_e5_throughput_table(benchmark, jay_grammar, jay_corpus):
 
     optimized_cls, prepared_all = compile_with(jay_grammar, Options.all())
     textbook_cls, prepared_none = compile_with(jay_grammar, Options.none())
-    closures = ClosureParser(prepared_all.grammar)
+    vm = VMParser(compile_program(prepared_all))
     interp = PackratInterpreter(prepared_all.grammar)
     naive = BacktrackInterpreter(prepared_all.grammar)
 
@@ -42,7 +42,7 @@ def test_e5_throughput_table(benchmark, jay_grammar, jay_corpus):
         reference = JayParser(program).parse()
         assert optimized_cls(program).parse() == reference
         assert textbook_cls(program).parse() == reference
-        assert closures.parse(program) == reference
+        assert vm.reset(program).parse() == reference
         assert interp.parse(program) == reference
         assert naive.parse(program) == reference
 
@@ -50,7 +50,7 @@ def test_e5_throughput_table(benchmark, jay_grammar, jay_corpus):
         ("hand-written RD", lambda: [JayParser(p).parse() for p in jay_corpus]),
         ("generated (all opts)", lambda: [optimized_cls(p).parse() for p in jay_corpus]),
         ("generated (no opts)", lambda: [textbook_cls(p).parse() for p in jay_corpus]),
-        ("closure-compiled", lambda: [closures.parse(p) for p in jay_corpus]),
+        ("parsing machine", lambda: [vm.reset(p).parse() for p in jay_corpus]),
         ("packrat interpreter", lambda: [interp.parse(p) for p in jay_corpus]),
         ("backtrack interpreter", lambda: [naive.parse(p) for p in jay_corpus]),
     ]
@@ -70,12 +70,12 @@ def test_e5_throughput_table(benchmark, jay_grammar, jay_corpus):
     print_table("E5 — throughput on the Jay corpus", rows,
                 ["backend", "time (ms)", "KB/s", "vs hand-written"])
 
-    # Ordering shapes from the paper (plus the classic implementation-
-    # technique ladder: generated source > compiled closures > tree walk):
+    # Ordering shapes from the paper (plus the implementation-technique
+    # ladder: generated source > bytecode machine > tree walk):
     assert times["hand-written RD"] < times["generated (all opts)"]
     assert times["generated (all opts)"] < times["generated (no opts)"]
-    assert times["generated (all opts)"] < times["closure-compiled"]
-    assert times["closure-compiled"] < times["packrat interpreter"]
+    assert times["generated (all opts)"] < times["parsing machine"]
+    assert times["parsing machine"] < times["packrat interpreter"]
     assert times["generated (no opts)"] < times["packrat interpreter"]
     # Generated+optimized stays within a small factor of hand-written
     # (the paper reports ~2-3x; we allow generous slack for the Python host).
@@ -161,66 +161,3 @@ def test_e5_xc_throughput(benchmark, xc_corpus):
     benchmark.pedantic(
         lambda: [optimized_cls(p).parse() for p in xc_corpus], rounds=3, iterations=1
     )
-
-
-def test_e5_vm_vs_closures(benchmark, jay_grammar, jay_corpus, xc_corpus):
-    """E5d — the parsing machine against closure compilation.
-
-    Both backends run the identical fully-optimized grammar with the same
-    chunked memo table and produce identical trees (asserted); the VM trades
-    one compiled closure per expression for a flat bytecode program and a
-    single dispatch loop.  The ≥2x speedup bar is gated on CPU count like
-    E10's: on starved runners the measured ratio is printed for the record
-    and the assertion is skipped.
-    """
-    import repro
-    from repro.optim import prepare
-    from repro.vm import VMParser, compile_program
-
-    workloads = [
-        ("jay", jay_grammar, jay_corpus),
-        ("xc", repro.load_grammar("xc.XC"), xc_corpus),
-    ]
-    rows = []
-    speedups = {}
-    for label, grammar, corpus in workloads:
-        prepared = prepare(grammar, Options.all())
-        closures = ClosureParser(prepared.grammar)
-        vm = VMParser(compile_program(prepared))
-        total_kb = sum(len(p) for p in corpus) / 1024
-
-        # Correctness first: identical trees on the whole corpus.
-        for program in corpus:
-            assert vm.reset(program).parse() == closures.parse(program)
-
-        closures_time = time_best_of(lambda: [closures.parse(p) for p in corpus], repeat=3)
-        vm_time = time_best_of(lambda: [vm.reset(p).parse() for p in corpus], repeat=3)
-        speedups[label] = closures_time / vm_time
-        rows.append(
-            {
-                "workload": label,
-                "closures KB/s": f"{total_kb / closures_time:.0f}",
-                "vm KB/s": f"{total_kb / vm_time:.0f}",
-                "speedup": f"{speedups[label]:.2f}x",
-            }
-        )
-    print_table(
-        f"E5d — parsing machine vs closure compilation "
-        f"({usable_cpus()} CPU(s) available)",
-        rows,
-        ["workload", "closures KB/s", "vm KB/s", "speedup"],
-    )
-
-    # The machine must never lose to the closures it replaces.
-    assert speedups["jay"] > 1.0, f"vm slower than closures on jay: {speedups['jay']:.2f}x"
-    assert speedups["xc"] > 1.0, f"vm slower than closures on xc: {speedups['xc']:.2f}x"
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    if usable_cpus() < 2:
-        pytest.skip(
-            f"2x bar needs >= 2 CPUs (have {usable_cpus()}): measured "
-            f"jay {speedups['jay']:.2f}x, xc {speedups['xc']:.2f}x for the record"
-        )
-    assert speedups["jay"] >= 2.0, f"vm only {speedups['jay']:.2f}x over closures on jay"
-    assert speedups["xc"] >= 2.0, f"vm only {speedups['xc']:.2f}x over closures on xc"

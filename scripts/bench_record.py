@@ -5,9 +5,9 @@ runs the E5 throughput measurement (generated parser and parsing machine,
 all optimizations, per-grammar seeded corpora), the E3 cumulative
 optimization ladder on the Jay corpus, the E11 real-Python corpus
 throughput (every backend over ``examples/python/``), and the E12
-incremental-reparse ratio (warm edit reparse vs cold parse, both
-incremental backends, Jay and real-Python buffers, on renames and on the
-rejecting steps of line retypes), and *appends* one
+incremental-reparse ratio (warm edit reparse vs cold parse on the parsing
+machine's incremental sessions, Jay and real-Python buffers, on renames
+and on the rejecting steps of line retypes), and *appends* one
 record to ``BENCH_5.json``.  ``--backends`` restricts which backends the
 E5/E11 sections measure (e.g. ``--backends vm`` for a machine-only
 record).  Each record
@@ -52,7 +52,7 @@ SCHEMA_VERSION = 1
 
 #: Backends the E5/E11 sections can measure; ``--backends`` selects a subset.
 E5_BACKENDS = ("generated", "vm")
-E11_BACKENDS = ("interpreter", "closures", "generated", "vm")
+E11_BACKENDS = ("interpreter", "generated", "vm")
 
 #: Grammars measured by the E5 record, with their seeded corpora.
 def _sentences(root: str, count: int, seed: int) -> list[str]:
@@ -147,7 +147,6 @@ def measure_e3(repeat: int) -> dict[str, int]:
 def measure_e11(repeat: int, backends: tuple[str, ...] = E11_BACKENDS) -> dict[str, dict]:
     """Real-Python corpus bytes/sec per backend (layout pre-pass included)."""
     from repro.interp import PackratInterpreter
-    from repro.interp.closures import ClosureParser
     from repro.optim import prepare as optim_prepare
 
     sys.setrecursionlimit(100_000)  # the interpreter is stack-hungry
@@ -160,7 +159,6 @@ def measure_e11(repeat: int, backends: tuple[str, ...] = E11_BACKENDS) -> dict[s
     language = repro.compile_grammar(grammar)
     available = {
         "interpreter": lambda: PackratInterpreter(full.grammar, chunked=True).parse,
-        "closures": lambda: ClosureParser(full.grammar, chunked=True).parse,
         "vm": lambda: language.session(backend="vm").parse,
         "generated": lambda: language.session().parse,
     }
@@ -180,28 +178,17 @@ def measure_e11(repeat: int, backends: tuple[str, ...] = E11_BACKENDS) -> dict[s
     return results
 
 
-#: Incremental backends the E12 section measures.
-E12_BACKENDS = ("vm", "closures")
-
-
 #: Lines retyped by the E12 retype rows (one ``retype_edits`` script each).
 E12_RETYPES = 4
 
 
-def _cold_parser(language, backend: str):
+def _cold_parser(language):
     """``parse(text)``: one from-scratch pass of the incremental program a
-    session of ``backend`` runs, without the session's reject handling."""
-    if backend == "vm":
-        from repro.vm import VMParser
+    session runs, without the session's reject handling."""
+    from repro.vm import VMParser
 
-        parser = VMParser(language.vm_program(incremental=True), incremental=True)
-        return lambda text: parser.reset(text).parse()
-    from repro.interp.closures import ClosureParser
-
-    prepared = language.prepared
-    return ClosureParser(
-        prepared.grammar, chunked=prepared.chunked_memo, incremental=True
-    ).parse
+    parser = VMParser(language.vm_program(incremental=True), incremental=True)
+    return lambda text: parser.reset(text).parse()
 
 
 def _timed_parse(parse, *args) -> tuple[float, bool]:
@@ -214,40 +201,38 @@ def _timed_parse(parse, *args) -> tuple[float, bool]:
 
 
 def _e12_row(language, text: str, edits: list, rejects: bool) -> dict:
-    """Warm and cold seconds per backend over ``edits``: every step, or with
-    ``rejects`` only the steps whose buffer does not parse."""
-    row: dict = {"chars": len(text), "edits": 0, "backends": {}}
-    for backend in E12_BACKENDS:
-        warm = language.incremental(backend=backend)
-        warm.set_text(text)
-        warm.parse()
-        cold = _cold_parser(language, backend)
-        current = text
-        warm_s = cold_s = 0.0
-        count = 0
-        for edit in edits:
-            warm.apply_edit(edit.offset, edit.removed, edit.inserted)
-            current = edit.apply(current)
-            warm_step, accepted = _timed_parse(warm.parse)
-            if rejects and accepted:
-                continue
-            warm_s += warm_step
-            cold_s += _timed_parse(cold, current)[0]
-            count += 1
-        row["edits"] = count
-        row["backends"][backend] = {
-            "warm_seconds": round(warm_s, 6),
-            "cold_seconds": round(cold_s, 6),
-            "speedup": round(cold_s / warm_s, 2),
-        }
-    return row
+    """Warm and cold seconds over ``edits``: every step, or with ``rejects``
+    only the steps whose buffer does not parse.  The figures sit under
+    ``backends.vm``, the layout of earlier records."""
+    warm = language.incremental()
+    warm.set_text(text)
+    warm.parse()
+    cold = _cold_parser(language)
+    current = text
+    warm_s = cold_s = 0.0
+    count = 0
+    for edit in edits:
+        warm.apply_edit(edit.offset, edit.removed, edit.inserted)
+        current = edit.apply(current)
+        warm_step, accepted = _timed_parse(warm.parse)
+        if rejects and accepted:
+            continue
+        warm_s += warm_step
+        cold_s += _timed_parse(cold, current)[0]
+        count += 1
+    vm = {
+        "warm_seconds": round(warm_s, 6),
+        "cold_seconds": round(cold_s, 6),
+        "speedup": round(cold_s / warm_s, 2),
+    }
+    return {"chars": len(text), "edits": count, "backends": {"vm": vm}}
 
 
 def measure_e12(edits: int = 8) -> dict[str, dict]:
-    """Warm-vs-cold reparse ratio per incremental backend (see benchmark
-    E12) over a Jay program and a layouted real-Python stdlib source: a
-    seeded identifier-rename script, and (``… retype`` rows) the rejecting
-    steps of seeded line retypes.  ``speedup`` is total cold seconds over
+    """Warm-vs-cold incremental reparse ratio (see benchmark E12) over a
+    Jay program and a layouted real-Python stdlib source: a seeded
+    identifier-rename script, and (``… retype`` rows) the rejecting steps
+    of seeded line retypes.  ``speedup`` is total cold seconds over
     total warm seconds; cold is one from-scratch pass of the same
     incremental program."""
     from repro.workloads.pyedits import corpus_texts, rename_edits, retype_edits

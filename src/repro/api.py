@@ -230,7 +230,6 @@ class Language:
     def incremental(
         self,
         start: str | None = None,
-        backend: str = "vm",
         profile: Any = None,
         depth_budget: int | None = None,
     ) -> "IncrementalSession":
@@ -247,9 +246,9 @@ class Language:
         :meth:`~repro.incremental.IncrementalSession.apply_edit` shifts memo
         entries right of the damage and drops only those whose *examined*
         span overlaps it, so a small edit costs work proportional to the
-        damage, not the buffer (see ``docs/incremental.md``).  ``backend``
-        is ``"vm"`` (default) or ``"closures"``; both run watermark-
-        instrumented twins whose results are identical to a cold parse.
+        damage, not the buffer (see ``docs/incremental.md``).  The session
+        runs the parsing machine's watermark-instrumented twin, whose
+        results are identical to a cold parse.
 
         Rejects are exact too: a warm parse that fails runs a second warm
         pass that re-derives only the memo hits examined past its farthest
@@ -259,9 +258,7 @@ class Language:
         """
         from repro.incremental import IncrementalSession
 
-        return IncrementalSession(
-            self, start=start, backend=backend, profile=profile, depth_budget=depth_budget
-        )
+        return IncrementalSession(self, start=start, profile=profile, depth_budget=depth_budget)
 
     def recognize(self, text: str, start: str | None = None) -> bool:
         """Does the whole input match?  (No value construction errors are

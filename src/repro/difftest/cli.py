@@ -68,9 +68,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backends", metavar="NAME[,NAME…]",
-        help="restrict to a backend subset, comma-separated (e.g. vm,closures,"
+        help="restrict to a backend subset, comma-separated (e.g. vm,"
         "codegen-all; 'codegen' selects every codegen variant; the reference "
-        "interpreter is always kept)",
+        "interpreter is always kept; not with --edits)",
     )
     parser.add_argument(
         "--edits", type=int, default=None, metavar="N",
@@ -92,6 +92,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    if args.backends and args.edits is not None:
+        print("error: --edits takes no --backends (one incremental engine)", file=sys.stderr)
+        return 1
     backends = None
     if args.backends:
         backends = [token.strip() for token in args.backends.split(",") if token.strip()]

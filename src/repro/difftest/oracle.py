@@ -12,8 +12,6 @@ new backend is one table row, not a constructor edit per call site:
   and :class:`~repro.runtime.memo.DictMemoTable`);
 - a packrat interpreter over the *unoptimized* pipeline output — the
   closest thing to textbook PEG semantics, and the reference backend;
-- the closure-compiled parser (:class:`repro.interp.closures.ClosureParser`)
-  over the fully optimized grammar;
 - the generated parser with all optimizations on;
 - the parsing machine (:mod:`repro.vm`) over the same fully optimized,
   chunked-memo configuration.
@@ -34,10 +32,12 @@ baselines report their own positions and are excluded from error
 comparison), and any non-:class:`~repro.errors.ParseError` crash.
 
 :class:`EditOracle` is the incremental twin: it replays an *edit script*
-through warm :class:`~repro.incremental.IncrementalSession` instances
-(memo surgery + reuse) and demands that after every edit the warm result
-is bit-identical — verdict, AST, farthest-failure offset, expected set —
-to a cold parse of the same buffer by the same incremental program.
+through a warm :class:`~repro.incremental.IncrementalSession` (memo
+surgery + reuse) and demands that after every edit the warm result is
+bit-identical — verdict, AST, farthest-failure offset, expected set — to
+a cold parse of the same buffer by the same incremental program, and
+agrees with an independent engine (the generated parser) on verdict, AST
+and offset.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.baselines import BASELINES
 from repro.codegen import generate_parser_source, load_parser
 from repro.errors import ParseDepthError, ParseError
 from repro.interp import BacktrackInterpreter, PackratInterpreter
-from repro.interp.closures import ClosureParser
 from repro.modules import compose
 from repro.meta import ModuleLoader
 from repro.optim import Options, PreparedGrammar, prepare
@@ -89,23 +88,28 @@ class Backend:
     expected_group: str | None = None
 
     def run(self, text: str) -> Outcome:
-        try:
-            value = self.parse(text)
-        except ParseDepthError:
-            # Deep nesting exhausts each backend's stack at a *different*
-            # input depth (stack spend per nesting level is a backend
-            # property), so the structured depth diagnostic is a resource
-            # limit for comparison purposes, not a semantic verdict.
-            return Outcome(accepted=False, crash="RecursionError")
-        except ParseError as error:
-            return Outcome(accepted=False, offset=error.offset, expected=error.expected)
-        except RecursionError:
-            # Backstop for recursion escaping outside a parse entry point
-            # (e.g. a hand-written baseline): same resource-limit treatment.
-            return Outcome(accepted=False, crash="RecursionError")
-        except Exception as error:  # noqa: BLE001 - crashes are findings
-            return Outcome(accepted=False, crash=f"{type(error).__name__}: {error}")
-        return Outcome(accepted=True, value=value)
+        return _outcome(lambda: self.parse(text))
+
+
+def _outcome(parse: Callable[[], Any]) -> Outcome:
+    """What one parse call did: its value, its error, or its crash."""
+    try:
+        value = parse()
+    except ParseDepthError:
+        # Deep nesting exhausts each backend's stack at a *different*
+        # input depth (stack spend per nesting level is a backend
+        # property), so the structured depth diagnostic is a resource
+        # limit for comparison purposes, not a semantic verdict.
+        return Outcome(accepted=False, crash="RecursionError")
+    except ParseError as error:
+        return Outcome(accepted=False, offset=error.offset, expected=error.expected)
+    except RecursionError:
+        # Backstop for recursion escaping outside a parse entry point
+        # (e.g. a hand-written baseline): same resource-limit treatment.
+        return Outcome(accepted=False, crash="RecursionError")
+    except Exception as error:  # noqa: BLE001 - crashes are findings
+        return Outcome(accepted=False, crash=f"{type(error).__name__}: {error}")
+    return Outcome(accepted=True, value=value)
 
 
 @dataclass(frozen=True)
@@ -187,11 +191,6 @@ BACKEND_TABLE: tuple[BackendDef, ...] = (
     BackendDef(
         "interp-dict",
         lambda g: PackratInterpreter(g.full.grammar, chunked=False).parse,
-        expected_group="full-interp",
-    ),
-    BackendDef(
-        "closures",
-        lambda g: ClosureParser(g.full.grammar, chunked=True).parse,
         expected_group="full-interp",
     ),
     BackendDef("codegen-all", lambda g: _build_codegen(g.full), expected_group="full-codegen"),
@@ -373,10 +372,6 @@ class DifferentialOracle:
         return None
 
 
-#: The incremental backends :class:`EditOracle` cross-checks.
-INCREMENTAL_BACKENDS = ("vm", "closures")
-
-
 def _as_edit(edit: Any) -> tuple[int, int, str]:
     """Normalize an edit to ``(offset, removed, inserted)`` — accepts plain
     tuples and :class:`repro.workloads.pyedits.Edit` objects alike."""
@@ -389,11 +384,11 @@ def _as_edit(edit: Any) -> tuple[int, int, str]:
 class EditOracle:
     """The differential oracle for incremental reparsing.
 
-    For each incremental backend (:data:`INCREMENTAL_BACKENDS`) the oracle
-    keeps a *warm* :class:`~repro.incremental.IncrementalSession` that
-    applies the script's edits one at a time (memo surgery + reuse) and a
-    *cold* session of the same flavor that is re-seeded from scratch with
-    :meth:`~repro.incremental.IncrementalSession.set_text` at every step.
+    The oracle keeps a *warm* :class:`~repro.incremental.IncrementalSession`
+    that applies the script's edits one at a time (memo surgery + reuse), a
+    *cold* session re-seeded from scratch with
+    :meth:`~repro.incremental.IncrementalSession.set_text` at every step,
+    and a generated-parser session as the independent engine.
 
     Comparison semantics follow the preparation boundary documented on
     :data:`BACKEND_TABLE`: warm vs cold of the **same** incremental program
@@ -402,28 +397,22 @@ class EditOracle:
     messages keep only its first entries; the incremental program is its
     own preparation: unfused regexes and memoize-everything give it its own
     expected-set vocabulary, so it is only error-comparable to itself).
-    Across the two incremental backends only verdict, AST, and offset are
+    Against the generated parser only verdict, AST, and offset are
     compared.  A warm reject that the session's second pass turns into an
     accept (``last_parse_recovered``) is reported as a disagreement in its
     own right: it means a memo entry survived an edit it depended on.
     """
 
-    def __init__(
-        self,
-        grammar: Grammar,
-        *,
-        start: str | None = None,
-        backends: tuple[str, ...] | list[str] | None = None,
-    ):
+    def __init__(self, grammar: Grammar, *, start: str | None = None):
         from repro.api import compile_grammar
 
         if start is not None:
             grammar = grammar.with_start(start)
         self.grammar = grammar
         self.language = compile_grammar(grammar, cache=False)
-        self.backends = tuple(backends) if backends else INCREMENTAL_BACKENDS
-        self._warm = {b: self.language.incremental(backend=b) for b in self.backends}
-        self._cold = {b: self.language.incremental(backend=b) for b in self.backends}
+        self._warm = self.language.incremental()
+        self._cold = self.language.incremental()
+        self._generated = self.language.session()
 
     @classmethod
     def for_root(
@@ -439,20 +428,6 @@ class EditOracle:
         if loader is None:
             loader = ModuleLoader(paths=paths)
         return cls(compose(root, loader, start=start), **kwargs)
-
-    @staticmethod
-    def _outcome(session: Any) -> Outcome:
-        try:
-            value = session.parse()
-        except ParseDepthError:
-            return Outcome(accepted=False, crash="RecursionError")
-        except ParseError as error:
-            return Outcome(accepted=False, offset=error.offset, expected=error.expected)
-        except RecursionError:
-            return Outcome(accepted=False, crash="RecursionError")
-        except Exception as error:  # noqa: BLE001 - crashes are findings
-            return Outcome(accepted=False, crash=f"{type(error).__name__}: {error}")
-        return Outcome(accepted=True, value=value)
 
     def check_script(self, text: str, edits: list[Any]) -> list[Disagreement]:
         """All disagreements over one edit script applied to ``text``.
@@ -476,52 +451,36 @@ class EditOracle:
             current = current[:offset] + inserted + current[offset + removed:]
 
         disagreements: list[Disagreement] = []
-        for name in self.backends:
-            self._warm[name].set_text(text)
-            self._outcome(self._warm[name])  # step 0: populate the memo
+        warm, cold = self._warm, self._cold
+        warm.set_text(text)
+        _outcome(warm.parse)  # step 0: populate the memo
         current = text
         for step, (offset, removed, inserted) in enumerate(steps, start=1):
             current = current[:offset] + inserted + current[offset + removed:]
-            warm_outcomes: dict[str, Outcome] = {}
-            for name in self.backends:
-                warm = self._warm[name]
-                warm.apply_edit(offset, removed, inserted)
-                outcome = self._outcome(warm)
-                warm_outcomes[name] = outcome
-                if warm.last_parse_recovered:
-                    disagreements.append(
-                        Disagreement(
-                            current, f"cold-{name}", f"warm-{name}",
-                            outcome, outcome,
-                            f"step {step}: warm reject accepted by the second pass "
-                            "(a memo entry survived an edit it depended on)",
-                        )
+            warm.apply_edit(offset, removed, inserted)
+            outcome = _outcome(warm.parse)
+            if warm.last_parse_recovered:
+                disagreements.append(
+                    Disagreement(
+                        current, "cold-vm", "warm-vm", outcome, outcome,
+                        f"step {step}: warm reject accepted by the second pass "
+                        "(a memo entry survived an edit it depended on)",
                     )
-                cold = self._cold[name]
-                cold.set_text(current)
-                cold_outcome = self._outcome(cold)
-                detail = self._compare_step(cold_outcome, outcome, same_program=True)
+                )
+            cold.set_text(current)
+            references = (
+                ("cold-vm", _outcome(cold.parse), True),
+                ("generated", _outcome(lambda: self._generated.parse(current)), False),
+            )
+            for name, reference, same_program in references:
+                detail = self._compare_step(reference, outcome, same_program=same_program)
                 if detail is not None:
                     disagreements.append(
                         Disagreement(
-                            current, f"cold-{name}", f"warm-{name}",
-                            cold_outcome, outcome, f"step {step}: {detail}",
+                            current, name, "warm-vm", reference, outcome,
+                            f"step {step}: {detail}",
                         )
                     )
-            if len(self.backends) >= 2:
-                lead, *rest = self.backends
-                for name in rest:
-                    detail = self._compare_step(
-                        warm_outcomes[lead], warm_outcomes[name], same_program=False
-                    )
-                    if detail is not None:
-                        disagreements.append(
-                            Disagreement(
-                                current, f"warm-{lead}", f"warm-{name}",
-                                warm_outcomes[lead], warm_outcomes[name],
-                                f"step {step}: {detail}",
-                            )
-                        )
         return disagreements
 
     def explain_script(self, text: str, edits: list[Any]) -> str | None:

@@ -16,10 +16,8 @@ into memo-table surgery instead of a cold start:
   as memo hits by the next :meth:`~IncrementalSession.parse`.
 
 The soundness of retention rests on the **examined watermark**: the
-incremental twins of the closures backend
-(:class:`repro.interp.closures.ClosureParser` with ``incremental=True``)
-and the parsing machine (:class:`repro.vm.VMParser` with
-``incremental=True``) record, per memo entry, the exclusive end of the
+parsing machine's incremental twin (:class:`repro.vm.VMParser` with
+``incremental=True``) records, per memo entry, the exclusive end of the
 input span its computation *read* — consumed characters, lookahead-probe
 spans (``&``/``!``), single-character dispatch reads, and failed
 expectations alike.  An entry is reusable after an edit exactly when that
@@ -30,8 +28,8 @@ See ``docs/incremental.md`` for the algorithm and invariant.
 
 Failure fidelity: a served memo hit does not replay the expected-set
 records its original computation made, so a *warm* reject may stop short
-of the cold farthest-failure frontier.  Both watermarks push the examined
-end past every failure they record, so **every failure record of a
+of the cold farthest-failure frontier.  The watermark is pushed past
+every failure the machine records, so **every failure record of a
 memoized computation lies inside its examined span**.  After a warm reject
 at farthest offset ``F`` the session therefore runs a second warm pass in
 which a hit is served only if its examined end is ``<= F``; a hit
@@ -70,9 +68,7 @@ from repro.errors import ParseError
 from repro.locations import LineIndex, Location
 from repro.runtime.memo import NO_FRONTIER
 from repro.runtime.node import GNode
-
-#: Backends :meth:`repro.Language.incremental` accepts.
-BACKENDS = ("vm", "closures")
+from repro.vm import VMParser
 
 
 @dataclass(frozen=True)
@@ -102,16 +98,11 @@ class IncrementalSession:
         self,
         language,
         start: str | None = None,
-        backend: str = "vm",
         profile: Any = None,
         depth_budget: int | None = None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        self._language = language
         self._start = start or language.grammar.start
         self._profile = profile
-        self._depth_budget = depth_budget
         self._text = ""
         self._source = "<input>"
         self._index = LineIndex("")
@@ -120,40 +111,12 @@ class IncrementalSession:
         self._with_location = "withLocation" in grammar.options or any(
             production.has("withLocation") for production in grammar
         )
-        if backend == "vm":
-            from repro.vm import VMParser
-
-            program = language.vm_program(incremental=True)
-            self._parser = VMParser(
-                program, "", self._source, depth_budget=depth_budget, incremental=True
-            )
-            self._memo = self._parser._memo
-            self._target = self._parser
-            self._run = self._run_vm
-        else:
-            from repro.interp.closures import ClosureParser
-
-            self._closures = ClosureParser(
-                grammar, chunked=language.prepared.chunked_memo, incremental=True
-            )
-            self._state = self._closures.incremental_state("", self._source)
-            self._memo = self._state.memo
-            self._target = self._state
-            self._run = self._run_closures
-
-    # -- backend adapters -----------------------------------------------------
-
-    def _run_vm(self) -> Any:
-        return self._parser.parse(self._start)
-
-    def _run_closures(self) -> Any:
-        from repro.runtime.base import recursion_budget
-
-        with recursion_budget(self._depth_budget):
-            return self._closures.reparse(self._state, self._start)
+        program = language.vm_program(incremental=True)
+        self._parser = VMParser(program, depth_budget=depth_budget, incremental=True)
+        self._memo = self._parser._memo
 
     def _rebind(self) -> None:
-        self._target.rebind(self._text, self._index, source=self._source)
+        self._parser.rebind(self._text, self._index, source=self._source)
 
     # -- the buffer -----------------------------------------------------------
 
@@ -255,23 +218,23 @@ class IncrementalSession:
         pass bounded by its farthest offset (see the module docstring).
         """
         self._recovered = False
+        parser = self._parser
         try:
-            value = self._run()
+            value = parser.parse(self._start)
         except ParseError as warm_error:
             # Served hits do not replay their failure records, so the cold
             # frontier may lie past this one.  Rerun, re-deriving every hit
             # that examined past it: those are the only ones that can hide a
             # record there.
-            target = self._target
             self._rebind()
-            target._frontier = warm_error.offset
+            parser._frontier = warm_error.offset
             try:
-                value = self._run()
+                value = parser.parse(self._start)
             except ParseError:
                 self._count_parse(False)
                 raise
             finally:
-                target._frontier = NO_FRONTIER
+                parser._frontier = NO_FRONTIER
             self._recovered = True
             self._count_parse(True)
             return value
@@ -387,14 +350,16 @@ class StreamFeeder:
 
     def __init__(self, parse: Callable[[str], Any] | None = None):
         self._parse = parse
-        self._buffer = ""
+        # The unterminated tail, in chunk-sized parts: joined once, when its
+        # newline arrives, so a long line fed in small chunks stays linear.
+        self._parts: list[str] = []
         self._count = 0
         self._ended = False
 
     @property
     def pending(self) -> str:
         """The buffered, not-yet-terminated tail."""
-        return self._buffer
+        return "".join(self._parts)
 
     @property
     def count(self) -> int:
@@ -405,15 +370,17 @@ class StreamFeeder:
         """Buffer ``chunk``; return records for every document it completes."""
         if self._ended:
             raise ValueError("stream already ended")
-        self._buffer += chunk
         records: list[FeedRecord] = []
-        while True:
-            cut = self._buffer.find("\n")
-            if cut < 0:
-                return records
-            line = self._buffer[:cut]
-            self._buffer = self._buffer[cut + 1:]
-            self._emit(line, records)
+        *lines, tail = chunk.split("\n")
+        if lines:
+            self._parts.append(lines[0])
+            lines[0] = "".join(self._parts)
+            self._parts.clear()
+            for line in lines:
+                self._emit(line, records)
+        if tail:
+            self._parts.append(tail)
+        return records
 
     def end(self) -> list[FeedRecord]:
         """Flush the unterminated tail (if any) and seal the stream."""
@@ -421,8 +388,8 @@ class StreamFeeder:
             return []
         self._ended = True
         records: list[FeedRecord] = []
-        tail, self._buffer = self._buffer, ""
-        self._emit(tail, records)
+        self._emit(self.pending, records)
+        self._parts.clear()
         return records
 
     def _emit(self, line: str, records: list[FeedRecord]) -> None:
@@ -442,5 +409,5 @@ class StreamFeeder:
             records.append(FeedRecord(index=self._count, text=line, value=value))
 
     def __repr__(self) -> str:
-        state = "ended" if self._ended else f"{len(self._buffer)} buffered"
+        state = "ended" if self._ended else f"{len(self.pending)} buffered"
         return f"<StreamFeeder {self._count} documents, {state}>"

@@ -8,7 +8,6 @@
 
 from typing import Any
 
-from repro.interp.closures import ClosureParser
 from repro.interp.evaluator import GrammarInterpreter
 from repro.interp.trace import TraceEvent, format_trace, trace_parse, trace_statistics
 from repro.peg.grammar import Grammar
@@ -30,6 +29,5 @@ class BacktrackInterpreter(GrammarInterpreter):
 
 __all__ = [
     "GrammarInterpreter", "PackratInterpreter", "BacktrackInterpreter",
-    "ClosureParser",
     "TraceEvent", "format_trace", "trace_parse", "trace_statistics",
 ]

@@ -25,7 +25,6 @@ from repro.profile.report import (
 )
 from repro.profile.runner import (
     BACKENDS,
-    EDIT_BACKENDS,
     CoverageSession,
     profile_corpus,
     profile_edits,
@@ -38,7 +37,7 @@ __all__ = [
     "ParseProfile", "CoverageMatrix", "MemoEvents",
     "ProfileReport", "ProductionProfile", "AlternativeCoverage",
     "build_report", "format_report",
-    "BACKENDS", "EDIT_BACKENDS", "CoverageSession", "profile_corpus",
+    "BACKENDS", "CoverageSession", "profile_corpus",
     "profile_edits", "profiled_parse_fn", "prepare_for_profiling",
     "resolve_root",
 ]

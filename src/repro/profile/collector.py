@@ -17,7 +17,7 @@ backend, the quantities the paper's optimization story is argued from:
 
 The collector is backend-agnostic: every hook is keyed by fully qualified
 production *name*, so one profile can aggregate runs from the interpreter,
-the closure compiler, and generated parsers (their post-optimization
+the parsing machine, and generated parsers (their post-optimization
 grammars permitting).  All hooks are cheap dictionary updates; parsers pay
 for them only when a profile is attached (see ``docs/profiling.md``).
 """
@@ -117,8 +117,8 @@ class ParseProfile:
     """Accumulates parse-time telemetry across parses and backends.
 
     Construct one, attach it to a parser (``profile=`` on the interpreter,
-    closure compiler, :class:`repro.Language` APIs, or a profiled generated
-    parser), parse a corpus, then read the counters directly or build a
+    the parsing machine's profiled twin, :class:`repro.Language` APIs, or a
+    profiled generated parser), parse a corpus, then read the counters directly or build a
     :class:`repro.profile.report.ProfileReport`.
     """
 

@@ -3,7 +3,7 @@
 Two entry points share one grammar-preparation convention:
 
 - :func:`profile_corpus` — the engine behind ``repro-prof``: parse a list
-  of inputs with one instrumented backend (``interp``, ``closures``, or
+  of inputs with one instrumented backend (``interp``, ``vm``, or
   ``generated``) and return a :class:`~repro.profile.report.ProfileReport`.
 - :class:`CoverageSession` — the lightweight feed the differential-fuzz
   runner uses so fuzz runs double as coverage measurements: inputs go
@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterable
 from repro.codegen import generate_parser_source, load_parser
 from repro.errors import ParseError
 from repro.grammars import ROOTS
-from repro.interp.closures import ClosureParser
 from repro.interp.evaluator import GrammarInterpreter
 from repro.meta import ModuleLoader
 from repro.modules import compose
@@ -36,7 +35,7 @@ from repro.profile.collector import CoverageMatrix, ParseProfile
 from repro.profile.report import ProfileReport, build_report
 
 #: The instrumented backends ``profile_corpus`` can run.
-BACKENDS = ("interp", "closures", "generated")
+BACKENDS = ("interp", "vm", "generated")
 
 
 def resolve_root(root: str) -> str:
@@ -71,9 +70,11 @@ def profiled_parse_fn(
             prepared.grammar, memoize=True, chunked=prepared.chunked_memo, profile=profile
         )
         return interp.parse
-    if backend == "closures":
-        closures = ClosureParser(prepared.grammar, chunked=prepared.chunked_memo, profile=profile)
-        return closures.parse
+    if backend == "vm":
+        from repro.vm import VMParser, compile_program
+
+        program = compile_program(prepared, profiled=True)
+        return lambda text: VMParser(program, text, profile=profile).parse()
     if backend == "generated":
         source = generate_parser_source(prepared, profiled=True)
         parser_class = load_parser(source)
@@ -121,10 +122,6 @@ def profile_corpus(
     return build_report(profile, grammar=grammar_name, backend=backend, warnings=tuple(warnings))
 
 
-#: Backends :func:`profile_edits` can drive (the incremental session's).
-EDIT_BACKENDS = ("vm", "closures")
-
-
 def _random_edit(rng, text: str) -> tuple[int, int, str]:
     """One seeded random edit ``(offset, removed, inserted)`` over ``text``.
 
@@ -148,7 +145,6 @@ def _random_edit(rng, text: str) -> tuple[int, int, str]:
 def profile_edits(
     grammar: Grammar | str,
     texts: Iterable[str],
-    backend: str = "vm",
     *,
     edits: int = 20,
     seed: int = 0,
@@ -161,21 +157,17 @@ def profile_edits(
     """Profile incremental reparsing: seeded random edits per input.
 
     Each input seeds an :class:`repro.incremental.IncrementalSession`
-    (``backend`` is ``"vm"`` or ``"closures"``) which then applies ``edits``
-    random edits, reparsing after each.  The session reports per-edit memo
-    accounting into the profile (:meth:`ParseProfile.record_edit`), so the
-    report's ``incremental`` block — entries reused vs invalidated vs
-    shifted — measures how effective memo reuse was on this corpus.
+    which then applies ``edits`` random edits, reparsing after each.  The
+    session reports per-edit memo accounting into the profile
+    (:meth:`ParseProfile.record_edit`), so the report's ``incremental``
+    block — entries reused vs invalidated vs shifted — measures how
+    effective memo reuse was on this corpus.
     Rejected reparses are counted, not raised.
     """
     import random
 
     from repro.api import compile_grammar
 
-    if backend not in EDIT_BACKENDS:
-        raise ValueError(
-            f"unknown incremental backend {backend!r}; expected one of {EDIT_BACKENDS}"
-        )
     if grammar_name is None:
         grammar_name = grammar if isinstance(grammar, str) else "<grammar>"
     if isinstance(grammar, str):
@@ -189,7 +181,7 @@ def profile_edits(
     # the report's payload is the corpus totals and the incremental block.
     rng = random.Random(seed)
     warnings: list[str] = []
-    session = language.incremental(backend=backend, profile=profile)
+    session = language.incremental(profile=profile)
     def safe_parse() -> None:
         try:
             session.parse()
@@ -209,7 +201,7 @@ def profile_edits(
     return build_report(
         profile,
         grammar=grammar_name,
-        backend=f"incremental-{backend}",
+        backend="incremental-vm",
         warnings=tuple(warnings),
     )
 

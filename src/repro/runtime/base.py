@@ -171,8 +171,8 @@ class ParserBase:
         """Re-run one noted fused region through the ordinary machinery.
 
         Overridden by backends that execute fused ``Regex`` scans; ``token``
-        is whatever the backend appended to ``_fused_pending`` (the node, a
-        compiled fallback closure, a generated replay function).  The replay
+        is whatever the backend appended to ``_fused_pending`` (the node or
+        a generated replay function).  The replay
         re-evaluates the region's original expression at ``pos`` purely for
         its ``_expected`` side effects.
         """

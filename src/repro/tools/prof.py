@@ -14,7 +14,7 @@ grammar key and whose files are the inputs (e.g. ``examples/jay``).  When
 no inputs are given, a seeded corpus is derived from the grammar with the
 differential-fuzz sentence generator, so every run is reproducible.
 
-Each selected backend (default: all three — interpreter, closure compiler,
+Each selected backend (default: all three — interpreter, parsing machine,
 generated parser) parses the whole corpus under instrumentation and prints
 a hotspot table: per-production invocations, memo hit rates, backtracks,
 wasted characters, farthest-failure contributions, and the per-alternative
@@ -41,7 +41,6 @@ from repro.modules import compose
 from repro.optim import Options
 from repro.profile import (
     BACKENDS,
-    EDIT_BACKENDS,
     format_report,
     profile_corpus,
     profile_edits,
@@ -78,9 +77,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="derivation depth budget for generated sentences",
     )
     parser.add_argument(
-        "--backend", choices=(*BACKENDS, "vm", "all"), default="all",
-        help="which backend to instrument (default: all; with --edits the "
-        "incremental backends 'vm' and 'closures')",
+        "--backend", choices=(*BACKENDS, "all"), default="all",
+        help="which backend to instrument (default: all; --edits always "
+        "profiles the incremental vm session)",
     )
     parser.add_argument(
         "--edits", type=int, default=None, metavar="N",
@@ -153,31 +152,20 @@ def main(argv: list[str] | None = None) -> int:
         texts = _load_corpus(args, grammar)
         options = Options.all() if args.optimized else None
         if args.edits is not None:
-            if args.backend == "all":
-                backends = list(EDIT_BACKENDS)
-            elif args.backend in EDIT_BACKENDS:
-                backends = [args.backend]
-            else:
+            if args.backend not in ("all", "vm"):
                 print(
-                    f"error: --edits drives the incremental backends "
-                    f"{EDIT_BACKENDS}; got --backend {args.backend}",
+                    f"error: --edits profiles the incremental vm session; "
+                    f"got --backend {args.backend}",
                     file=sys.stderr,
                 )
                 return 1
             reports = [
                 profile_edits(
-                    grammar, texts, backend, edits=args.edits,
+                    grammar, texts, edits=args.edits,
                     seed=args.edit_seed, grammar_name=root, options=options,
                 )
-                for backend in backends
             ]
         else:
-            if args.backend == "vm":
-                print(
-                    "error: the 'vm' backend is incremental-only here; pass --edits N",
-                    file=sys.stderr,
-                )
-                return 1
             backends = list(BACKENDS) if args.backend == "all" else [args.backend]
             reports = [
                 profile_corpus(grammar, texts, backend, grammar_name=root, options=options)

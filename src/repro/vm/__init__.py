@@ -1,8 +1,8 @@
 """Parsing-machine backend: the grammar IR compiled to flat bytecode.
 
-This package is the fourth execution strategy, alongside the tree-walking
-interpreter (:mod:`repro.interp`), closure compilation
-(:mod:`repro.interp.closures`), and generated source (:mod:`repro.codegen`):
+This package is the compiled, incremental and profiled execution engine,
+alongside the tree-walking interpreter (:mod:`repro.interp`, the semantic
+reference) and generated source (:mod:`repro.codegen`, the default):
 
 - :mod:`repro.vm.compiler` lowers the *post-optimization* PEG IR — including
   fused :class:`~repro.peg.expr.Regex` leaves and

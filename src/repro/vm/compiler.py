@@ -14,7 +14,7 @@ decide it (shared rules from :mod:`repro.peg.values`): each expression is
 compiled in **value mode** (leaves exactly one value on the value stack) or
 **void mode** (leaves none), and each production alternative ends in reduce
 ops (``RED_NODE``/``RED_TEXT``/``SEQ_TUPLE``/…) that build the same
-semantic values the interpreter, closure and generated backends produce.
+semantic values the interpreter and generated backends produce.
 
 Two compilations exist per grammar: the plain program, and on demand a
 *profiled twin* (``profiled=True``) with per-alternative probe ops and
@@ -272,9 +272,9 @@ class _Compiler:
         self.with_location = "withLocation" in grammar.options
         self.first = FirstAnalysis(grammar) if guards and not profiled else None
         self.code: list[list] = []
-        # Incremental programs memoize every production (see closures.py:
-        # reuse happens at stored-entry granularity, and un-memoized
-        # structural glue would make warm reparses re-derive the spine).
+        # Incremental programs memoize every production: reuse happens at
+        # stored-entry granularity, and un-memoized structural glue would
+        # make warm reparses re-derive the spine.
         self.memo_rules = tuple(
             p.name
             for p in grammar.productions
@@ -615,7 +615,7 @@ class _Compiler:
     def _compile_repetition(self, expr: Repetition, want: bool) -> None:
         item = expr.expr
         collect = contributes(item, self.kind_of)
-        # Value modes mirror the closure backend: a contributing item in a
+        # Value modes mirror the interpreter: a contributing item in a
         # value context collects a list (mode 2); a non-contributing
         # repetition still has the dynamic value None (mode 1); void mode
         # builds nothing (mode 0).
@@ -686,7 +686,7 @@ class _Compiler:
             branch_labels.append(branch_label)
             for ch in chars:
                 # First case containing the character wins, like the
-                # closure/interpreter dispatch loop.
+                # interpreter's dispatch loop.
                 table.setdefault(ch, branch_label)
         self._emit(OP_SWITCH, table, default_label)
         for branch_label, (_chars, branch) in zip(branch_labels, expr.cases):

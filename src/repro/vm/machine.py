@@ -30,7 +30,7 @@ is bounded by the stack-entry budget (``depth_budget``), and exceeding it
 raises the same structured :class:`~repro.errors.ParseDepthError` the
 recursive backends produce at their frame budgets.
 
-Environment handling mirrors the closure backend exactly: entries hold
+Environment handling mirrors the interpreter exactly: entries hold
 *references* to the env (the same dict object), so bindings made inside an
 alternative deliberately survive backtracking within it; only ``ENV_NEW``
 (an alternative that has bindings) swaps in a fresh dict, and ``RET``/the

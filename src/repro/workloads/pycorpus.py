@@ -206,8 +206,7 @@ def run_corpus(
 
     ``parse`` is any callable with farthest-failure :class:`ParseError`
     semantics — typically ``session.parse`` of a compiled ``python.Python``
-    language, but any backend adapter works (the differential tests pass
-    interpreter and closure backends here).  Layout errors from the pre-pass
+    language, but any backend adapter works.  Layout errors from the pre-pass
     count as parse failures for allowlisting purposes.
     """
     allowlist = ALLOWLIST if allowlist is None else allowlist

@@ -31,7 +31,6 @@ from repro.analysis.fusable import (
 from repro.codegen import generate_parser_source, load_parser
 from repro.errors import ParseError
 from repro.interp import PackratInterpreter
-from repro.interp.closures import ClosureParser
 from repro.optim import Options, prepare
 from repro.optim.fuse import fuse_scanners, useless_nofuse
 from repro.peg.builder import (
@@ -52,6 +51,7 @@ from repro.peg.builder import (
 )
 from repro.peg.expr import Literal, Regex, choice, walk
 from repro.profile import ParseProfile
+from repro.vm import VMParser, compile_program
 
 pytestmark = pytest.mark.skipif(
     not fusion_supported(), reason="fusion requires Python >= 3.11 regex syntax"
@@ -187,12 +187,12 @@ class TestValueDiscipline:
         grammar = _tiny_grammar()
         prepared = prepare(grammar, Options.all())
         interp = PackratInterpreter(prepared.grammar, chunked=prepared.chunked_memo)
-        closures = ClosureParser(prepared.grammar, chunked=prepared.chunked_memo)
+        program = compile_program(prepared)
         generated = load_parser(generate_parser_source(prepared))
         for source in ["abc 12 x9", " 1 a ", "zz"]:
             values = [
                 interp.parse(source),
-                closures.parse(source),
+                VMParser(program, source).parse(),
                 generated(source).parse(),
             ]
             assert len({repr(v) for v in values}) == 1, f"backends differ on {source!r}"
@@ -297,12 +297,11 @@ class TestCoverageAndProfile:
         interp.parse("abc 12 x9")
         assert profile.total_fused_scans() > 0
 
-    def test_closure_profiler_counts_fused_scans(self):
+    def test_vm_profiler_counts_fused_scans(self):
         prepared = prepare(_tiny_grammar(), Options.all())
         profile = ParseProfile()
-        ClosureParser(
-            prepared.grammar, chunked=prepared.chunked_memo, profile=profile
-        ).parse("abc 12 x9")
+        program = compile_program(prepared, profiled=True)
+        VMParser(program, "abc 12 x9", profile=profile).parse()
         assert profile.total_fused_scans() > 0
 
     def test_generated_profiled_twin_counts_fused_scans(self):

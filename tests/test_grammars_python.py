@@ -17,7 +17,6 @@ import pytest
 import repro
 from repro.errors import ParseDepthError, ParseError
 from repro.interp import PackratInterpreter
-from repro.interp.closures import ClosureParser
 from repro.optim import Options, prepare
 from repro.runtime.base import recursion_budget
 from repro.runtime.node import GNode
@@ -345,7 +344,7 @@ class TestBackendParity:
     def test_oracle_covers_all_backend_families(self, python_oracle):
         names = [backend.name for backend in python_oracle.backends]
         assert names[0] == "interp-plain"  # textbook semantics is reference
-        assert "closures" in names
+        assert "vm" in names
         assert "codegen-all" in names
         assert sum(1 for n in names if n.startswith("codegen-no-")) == 11
 
@@ -391,14 +390,13 @@ class TestDepthBudget:
             # The session stays healthy for reasonable inputs.
             assert session.parse(python_layout("x = (1)\n"))
 
-    @pytest.mark.parametrize("backend_cls", [PackratInterpreter, ClosureParser])
-    def test_interpreting_backends_degrade_structurally(self, backend_cls):
+    def test_interpreter_degrades_structurally(self):
         grammar = repro.load_grammar("python.Python")
         prepared = prepare(grammar, Options.all(), check=False)
-        backend = backend_cls(prepared.grammar, chunked=True)
+        interpreter = PackratInterpreter(prepared.grammar, chunked=True)
         with recursion_budget(500):
             with pytest.raises(ParseDepthError):
-                backend.parse(python_layout(deep_source()))
+                interpreter.parse(python_layout(deep_source()))
 
     def test_budget_restores_recursion_limit(self, python_lang):
         import sys

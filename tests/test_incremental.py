@@ -2,8 +2,8 @@
 
 Covers the :class:`~repro.runtime.memo.IncrementalMemoTable` column
 surgery (drop/shift with the relative-span summaries), the
-:class:`~repro.incremental.IncrementalSession` edit loop on both backends
-(warm results identical to cold parses, locations relocated, failure
+:class:`~repro.incremental.IncrementalSession` edit loop on the parsing
+machine (warm results identical to cold parses, locations relocated, failure
 fidelity), the same-text memo retention of plain sessions, the
 incremental profile counters and report round-trip, the
 :class:`~repro.incremental.StreamFeeder` framing, and the differential
@@ -22,7 +22,7 @@ import repro
 from repro.difftest import EditOracle, fuzz_edits, shrink_edit_script
 from repro.difftest.oracle import Outcome
 from repro.errors import ParseError
-from repro.incremental import BACKENDS, StreamFeeder
+from repro.incremental import StreamFeeder
 from repro.meta import ModuleLoader
 from repro.profile import ParseProfile, ProfileReport, build_report, format_report
 from repro.profile.report import REPORT_FORMAT
@@ -199,9 +199,8 @@ class TestIncrementalMemoTable:
 
 
 class TestIncrementalSession:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edits_match_cold_parse(self, calc, backend):
-        session = calc.incremental(backend=backend)
+    def test_edits_match_cold_parse(self, calc):
+        session = calc.incremental()
         session.set_text("1+2*(3-4)")
         assert repr(session.parse()) == repr(calc.parse("1+2*(3-4)"))
         for edit, expected in [
@@ -214,9 +213,8 @@ class TestIncrementalSession:
             assert repr(session.parse()) == repr(calc.parse(expected))
             assert not session.last_parse_recovered
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edit_stats_accounting(self, calc, backend):
-        session = calc.incremental(backend=backend)
+    def test_edit_stats_accounting(self, calc):
+        session = calc.incremental()
         session.set_text("1+2*(3-4)")
         session.parse()
         before = session.memo_entry_count()
@@ -226,15 +224,14 @@ class TestIncrementalSession:
         assert stats.retained == session.memo_entry_count()
         assert stats.retained == before - stats.dropped
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_failure_identical_to_cold(self, calc, backend):
-        warm = calc.incremental(backend=backend)
+    def test_warm_failure_identical_to_cold(self, calc):
+        warm = calc.incremental()
         warm.set_text("1+2*3")
         warm.parse()
         warm.apply_edit(4, 1, "+")  # "1+2*+" — dangling operator
         with pytest.raises(ParseError) as warm_err:
             warm.parse()
-        cold = calc.incremental(backend=backend)
+        cold = calc.incremental()
         cold.set_text(warm.text)
         with pytest.raises(ParseError) as cold_err:
             cold.parse()
@@ -246,10 +243,9 @@ class TestIncrementalSession:
         # *changed* the verdict (that would be an invalidation bug).
         assert not warm.last_parse_recovered
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_random_edit_sequence_stays_consistent(self, calc, backend):
+    def test_random_edit_sequence_stays_consistent(self, calc):
         rng = random.Random(17)
-        session = calc.incremental(backend=backend)
+        session = calc.incremental()
         text = "1+2*(3-4)+(5*6)"
         session.set_text(text)
         for _ in range(40):
@@ -265,9 +261,8 @@ class TestIncrementalSession:
                 assert warm == repr(calc.parse(session.text))
             assert not session.last_parse_recovered
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_feed_appends(self, calc, backend):
-        session = calc.incremental(backend=backend)
+    def test_feed_appends(self, calc):
+        session = calc.incremental()
         session.set_text("1")
         session.parse()
         session.feed("+2")
@@ -276,12 +271,11 @@ class TestIncrementalSession:
         session.feed("*3")
         assert repr(session.parse()) == repr(calc.parse("1+2*3"))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_locations_relocated_across_newline_edit(self, jay, backend):
+    def test_locations_relocated_across_newline_edit(self, jay):
         from repro.workloads import generate_jay_program
 
         text = generate_jay_program(size=5, seed=1)
-        session = jay.incremental(backend=backend)
+        session = jay.incremental()
         session.set_text(text)
         session.parse()
         # Insert a comment line near the front: every retained node behind
@@ -304,9 +298,8 @@ class TestIncrementalSession:
 
         assert locations(warm) == locations(cold)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_source_name_in_warm_errors(self, calc, backend):
-        session = calc.incremental(backend=backend)
+    def test_source_name_in_warm_errors(self, calc):
+        session = calc.incremental()
         session.set_text("1+2*3", source="expr.calc")
         session.parse()
         session.apply_edit(3, 1, "@")
@@ -325,10 +318,6 @@ class TestIncrementalSession:
         with pytest.raises(ValueError):
             session.apply_edit(0, -1, "x")
 
-    def test_unknown_backend(self, calc):
-        with pytest.raises(ValueError):
-            calc.incremental(backend="generated")
-
     def test_context_manager_releases_entries(self, calc):
         with calc.incremental() as session:
             session.set_text("1+2*3")
@@ -337,18 +326,12 @@ class TestIncrementalSession:
         assert session.memo_entry_count() == 0
 
 
-def _cold_parse(language, backend: str, text: str):
+def _cold_parse(language, text: str):
     """One from-scratch pass of the incremental program, with no session."""
-    if backend == "vm":
-        from repro.vm import VMParser
+    from repro.vm import VMParser
 
-        program = language.vm_program(incremental=True)
-        return VMParser(program, text, incremental=True).parse()
-    from repro.interp.closures import ClosureParser
-
-    prepared = language.prepared
-    parser = ClosureParser(prepared.grammar, chunked=prepared.chunked_memo, incremental=True)
-    return parser.parse(text)
+    program = language.vm_program(incremental=True)
+    return VMParser(program, text, incremental=True).parse()
 
 
 def _error_fields(error: ParseError) -> tuple:
@@ -359,9 +342,8 @@ class TestWarmRejectFrontier:
     """A warm reject runs a second pass that re-derives every memo hit
     examined past its frontier: the error is exactly the cold one."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_retained_entry_hiding_a_failure_past_the_frontier(self, hidden, backend):
-        session = hidden.incremental(backend=backend)
+    def test_retained_entry_hiding_a_failure_past_the_frontier(self, hidden):
+        session = hidden.incremental()
         session.set_text("a!;")
         with pytest.raises(ParseError):
             session.parse()
@@ -369,21 +351,20 @@ class TestWarmRejectFrontier:
         session.apply_edit(0, 0, " ")
         # Serving it, the first pass alone stops at the ';' mismatch at 2 ...
         with pytest.raises(ParseError) as first_pass:
-            session._run()
+            session._parser.parse()
         assert first_pass.value.offset == 2
         # ... while the cold parse, and so the session, fails at 3.
         with pytest.raises(ParseError) as warm:
             session.parse()
         with pytest.raises(ParseError) as cold:
-            _cold_parse(hidden, backend, " a!;")
+            _cold_parse(hidden, " a!;")
         assert cold.value.offset == 3
         assert _error_fields(warm.value) == _error_fields(cold.value)
         assert not session.last_parse_recovered
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_python_retype_errors_equal_cold_errors(self, python_retype, backend):
+    def test_python_retype_errors_equal_cold_errors(self, python_retype):
         language, text, edits = python_retype
-        session = language.incremental(backend=backend)
+        session = language.incremental()
         session.set_text(text)
         session.parse()
         rejects = 0
@@ -394,32 +375,31 @@ class TestWarmRejectFrontier:
             except ParseError as warm:
                 rejects += 1
                 with pytest.raises(ParseError) as cold:
-                    _cold_parse(language, backend, session.text)
+                    _cold_parse(language, session.text)
                 assert _error_fields(warm) == _error_fields(cold.value)
             assert not session.last_parse_recovered
         assert session.text == text
         assert rejects >= 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_second_pass_stores_are_few_and_unique(self, python_retype, backend):
+    def test_second_pass_stores_are_few_and_unique(self, python_retype):
         language, text, edits = python_retype
-        session = language.incremental(backend=backend)
+        session = language.incremental()
         session.set_text(text)
         session.parse()
-        memo = session._memo
+        memo, parser = session._memo, session._parser
         passes: list[list[tuple[int, int]]] = []
-        plain_put, plain_run = memo.put, session._run
+        plain_put, plain_parse = memo.put, parser.parse
 
         def put(rule, pos, entry):
             passes[-1].append((rule, pos))
             plain_put(rule, pos, entry)
 
-        def run():
+        def parse(start=None):
             passes.append([])
-            return plain_run()
+            return plain_parse(start)
 
         memo.put = put
-        session._run = run
+        parser.parse = parse
         rejects = 0
         for edit in edits:
             session.apply_edit(edit.offset, edit.removed, edit.inserted)
@@ -497,7 +477,7 @@ class TestIncrementalProfile:
 
     def test_session_reports_into_profile(self, calc):
         profile = ParseProfile()
-        session = calc.incremental(backend="closures", profile=profile)
+        session = calc.incremental(profile=profile)
         session.set_text("1+2*(3-4)")
         session.parse()
         session.apply_edit(2, 1, "9")
@@ -509,19 +489,11 @@ class TestIncrementalProfile:
     def test_profile_edits_runner(self):
         from repro.profile import profile_edits
 
-        report = profile_edits(
-            "calc", ["1+2*3", "(4-5)"], backend="closures", edits=3, seed=1
-        )
-        assert report.backend == "incremental-closures"
+        report = profile_edits("calc", ["1+2*3", "(4-5)"], edits=3, seed=1)
+        assert report.backend == "incremental-vm"
         assert report.edits == 6  # 3 per input
         assert report.parses == 8  # (1 + 3) per input, rejected reparses included
         assert ProfileReport.from_json(report.to_json()) == report
-
-    def test_profile_edits_rejects_unknown_backend(self):
-        from repro.profile import profile_edits
-
-        with pytest.raises(ValueError):
-            profile_edits("calc", ["1"], backend="generated")
 
 
 class TestStreamFeeder:
@@ -553,6 +525,32 @@ class TestStreamFeeder:
         ok, bad = feeder.feed("1+2\n1+\n")
         assert repr(ok.value) == repr(calc.parse("1+2")) and ok.error is None
         assert bad.value is None and isinstance(bad.error, ParseError)
+
+    def test_random_chunkings_match_one_shot_feed(self):
+        def framed(chunks):
+            feeder = StreamFeeder()
+            records = [r for chunk in chunks for r in feeder.feed(chunk)]
+            return [(r.index, r.text) for r in records + feeder.end()]
+
+        rng = random.Random(7)
+        pieces = ["ab", "c", " ", "\n", "\r", "\r\n", "\n\n"]
+        for _ in range(300):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+            cuts = sorted(rng.sample(range(len(text) + 1), min(len(text) + 1, 6)))
+            chunks = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+            assert framed(chunks) == framed([text]), chunks
+
+    def test_long_line_in_small_chunks_is_linear(self):
+        import time
+
+        line = "x" * 2_000_000
+        feeder = StreamFeeder()
+        start = time.perf_counter()
+        for offset in range(0, len(line), 64):
+            assert feeder.feed(line[offset:offset + 64]) == []
+        [record] = feeder.feed("\n")
+        assert time.perf_counter() - start < 0.5
+        assert record.text == line
 
 
 class TestEditOracle:
@@ -601,6 +599,12 @@ class TestEditOracle:
             Outcome(accepted=False, crash="RecursionError"), accept, same_program=True
         ) is None
 
+    def test_fuzz_cli_rejects_backends_with_edits(self, capsys):
+        from repro.tools import fuzz
+
+        assert fuzz.main(["calc", "--backends", "nonsense", "--edits", "2"]) == 1
+        assert "--backends" in capsys.readouterr().err
+
     def test_shrink_edit_script_reduces_to_culprit(self):
         edits = [(0, 0, "aa"), (1, 1, "x"), (2, 0, "yy"), (0, 1, "")]
         shrunk = shrink_edit_script(edits, lambda s: any(e[2] == "x" for e in s))
@@ -616,7 +620,6 @@ class TestEditOracle:
             any script containing a pure deletion "disagrees"."""
 
             grammar = calc.grammar
-            backends = ("vm", "closures")
 
             def check_script(self, text, edits):
                 from repro.difftest.oracle import Disagreement

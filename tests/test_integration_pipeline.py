@@ -7,10 +7,11 @@ import repro
 from repro.analysis import grammar_stats, require_wellformed
 from repro.codegen import generate_parser_source, load_parser
 from repro.codegen.writer import CodeWriter
-from repro.interp import ClosureParser, PackratInterpreter
+from repro.interp import PackratInterpreter
 from repro.meta import ModuleLoader
 from repro.optim import Options, prepare
 from repro.peg.pretty import format_grammar
+from repro.vm import VMParser, compile_program
 
 ROOTS = [
     "calc.Calculator", "calc.Full", "json.Json",
@@ -51,7 +52,7 @@ class TestEveryShippedLanguage:
         expected = PackratInterpreter(fast.grammar).parse(sample)
         assert fast_cls(sample).parse() == expected
         assert slow_cls(sample).parse() == expected
-        assert ClosureParser(fast.grammar).parse(sample) == expected
+        assert VMParser(compile_program(fast), sample).parse() == expected
 
     @pytest.mark.parametrize("root", ROOTS)
     def test_composed_grammar_prints_and_reparses(self, root):

@@ -10,9 +10,10 @@ import json
 import pytest
 
 from repro.errors import ParseError
-from repro.interp import ClosureParser, PackratInterpreter
+from repro.interp import PackratInterpreter
 from repro.peg.builder import GrammarBuilder, cc, lit, ref, text
 from repro.profile import (
+    BACKENDS,
     CoverageMatrix,
     MemoEvents,
     ParseProfile,
@@ -21,6 +22,7 @@ from repro.profile import (
     format_report,
     profile_corpus,
 )
+from repro.vm import VMParser, compile_program
 
 pytestmark = pytest.mark.prof
 
@@ -51,13 +53,13 @@ class TestHandComputedCounts:
         profile = ParseProfile()
         grammar = tiny_grammar()
         if backend == "interp":
-            parser = PackratInterpreter(grammar, chunked=chunked, profile=profile)
+            PackratInterpreter(grammar, chunked=chunked, profile=profile).parse("ac")
         else:
-            parser = ClosureParser(grammar, chunked=chunked, profile=profile)
-        parser.parse("ac")
+            program = compile_program(grammar, profiled=True)
+            VMParser(program, "ac", chunked=chunked, profile=profile).parse()
         return profile
 
-    @pytest.mark.parametrize("backend", ["interp", "closures"])
+    @pytest.mark.parametrize("backend", ["interp", "vm"])
     def test_counts(self, chunked, backend):
         profile = self.run(chunked, backend)
         assert profile.invocations == {"S": 1, "A": 2, "B": 1}
@@ -232,7 +234,7 @@ class TestRunner:
         texts = ["ab", "ac", "zz"]
         reports = {
             backend: profile_corpus(tiny_grammar(), texts, backend)
-            for backend in ("interp", "closures", "generated")
+            for backend in BACKENDS
         }
         baseline = reports["interp"]
         for report in reports.values():
@@ -246,9 +248,32 @@ class TestRunner:
     def test_shared_profile_aggregates(self):
         profile = ParseProfile()
         profile_corpus(tiny_grammar(), ["ac"], "interp", profile=profile)
-        profile_corpus(tiny_grammar(), ["ac"], "closures", profile=profile)
+        profile_corpus(tiny_grammar(), ["ac"], "vm", profile=profile)
         assert profile.parses == 2
         assert profile.invocations["S"] == 2
+
+
+class TestCli:
+    COUNTERS = ("invocations", "memo_hits", "memo_misses", "successes", "failures", "backtracks")
+
+    def run_cli(self, tmp_path, backend):
+        from repro.tools import prof
+
+        out = tmp_path / f"{backend}.json"
+        assert prof.main(["calc", "--backend", backend, "--json", "--output", str(out)]) == 0
+        [report] = json.loads(out.read_text())["reports"]
+        return report
+
+    def test_vm_backend_without_edits_matches_interp(self, tmp_path):
+        vm = self.run_cli(tmp_path, "vm")
+        interp = self.run_cli(tmp_path, "interp")
+        assert vm["backend"] == "vm" and vm["parses"] == 50
+        assert vm["rejected"] == interp["rejected"]
+        assert vm["coverage"] == interp["coverage"]
+        for ours, theirs in zip(vm["productions"], interp["productions"], strict=True):
+            assert ours["name"] == theirs["name"]
+            for counter in self.COUNTERS:
+                assert ours[counter] == theirs[counter], (ours["name"], counter)
 
 
 class TestLanguageHooks:

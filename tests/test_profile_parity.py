@@ -18,7 +18,6 @@ import repro
 from repro.difftest.generator import SentenceGenerator
 from repro.difftest.mutate import mutate
 from repro.errors import ParseError
-from repro.interp import ClosureParser
 from repro.profile import ParseProfile
 from repro.runtime.node import structurally_equal
 
@@ -94,14 +93,15 @@ class TestProfiledParityAcrossBackends:
         assert_same_outcomes(plain.parse, profiled.parse, corpus(root), "interp")
         assert profile.total_invocations() > 0
 
-    def test_closures(self, root):
+    def test_vm(self, root):
         lang = language(root)
         profile = ParseProfile()
-        grammar = lang.prepared.grammar
-        chunked = lang.prepared.chunked_memo
-        plain = ClosureParser(grammar, chunked=chunked)
-        profiled = ClosureParser(grammar, chunked=chunked, profile=profile)
-        assert_same_outcomes(plain.parse, profiled.parse, corpus(root), "closures")
+        assert_same_outcomes(
+            lambda text: lang.parse(text, backend="vm"),
+            lambda text: lang.parse(text, backend="vm", profile=profile),
+            corpus(root),
+            "vm",
+        )
         assert profile.total_invocations() > 0
 
 

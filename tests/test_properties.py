@@ -173,18 +173,19 @@ def random_grammars(draw) -> Grammar:
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_random_grammar_backends_agree(grammar, source):
-    from repro.interp import ClosureParser
+    from repro.vm import VMParser, compile_program
 
     packrat = PackratInterpreter(grammar)
     naive = BacktrackInterpreter(grammar)
     prepared = prepare(grammar, check=False)
     generated = load_parser(generate_parser_source(prepared))
-    closures = ClosureParser(prepared.grammar)
 
     reference = packrat.match_prefix(source)[0]
     assert naive.match_prefix(source)[0] == reference
     assert generated(source).match_prefix()[0] == reference
-    assert closures.match_prefix(source)[0] == reference
+    assert VMParser(compile_program(prepared), source).match_prefix()[0] == reference
+    incremental = compile_program(prepared, incremental=True)
+    assert VMParser(incremental, source, incremental=True).match_prefix()[0] == reference
 
     # The unoptimized pipeline agrees too.
     unoptimized = prepare(grammar, Options.none(), check=False)

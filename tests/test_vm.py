@@ -17,9 +17,9 @@ import pytest
 
 import repro
 from repro.errors import AnalysisError, ParseDepthError, ParseError
-from repro.interp.closures import ClosureParser
+from repro.interp import PackratInterpreter
 from repro.optim import Options, prepare
-from repro.peg.builder import GrammarBuilder, lit, seq
+from repro.peg.builder import GrammarBuilder, lit, plus, ref, seq
 from repro.peg.expr import Literal, Option, Repetition
 from repro.profile import ParseProfile
 from repro.runtime.node import structural_diff
@@ -58,19 +58,21 @@ class TestParity:
         assert vm_info.value.line == gen_info.value.line
         assert vm_info.value.column == gen_info.value.column
 
-    def test_profiled_twin_matches_plain_and_closures(self, jay_lang):
+    def test_profiled_twin_matches_plain_and_interpreter(self, jay_lang):
         profiled = compile_program(jay_lang.prepared, profiled=True)
         profile = ParseProfile()
         tree = VMParser(profiled, JAY_TEXT, profile=profile).parse()
         assert structural_diff(jay_lang.parse(JAY_TEXT), tree) is None
 
         reference = ParseProfile()
-        ClosureParser(jay_lang.prepared.grammar, chunked=True, profile=reference).parse(JAY_TEXT)
+        jay_lang.interpreter(profile=reference).parse(JAY_TEXT)
         assert dict(profile.invocations) == dict(reference.invocations)
         assert dict(profile.memo_hits) == dict(reference.memo_hits)
         assert dict(profile.memo_misses) == dict(reference.memo_misses)
         assert dict(profile.backtracks) == dict(reference.backtracks)
         assert dict(profile.fused_scans) == dict(reference.fused_scans)
+        assert dict(profile.successes) == dict(reference.successes)
+        assert dict(profile.failures) == dict(reference.failures)
 
     def test_profile_requires_profiled_program(self, jay_program):
         with pytest.raises(AnalysisError):
@@ -116,6 +118,44 @@ class TestApiBackend:
         profile = ParseProfile()
         jay_lang.parse(JAY_TEXT, backend="vm", profile=profile)
         assert profile.parses == 1
+
+
+# -- parser api ---------------------------------------------------------------
+
+
+class TestParserApi:
+    @pytest.fixture(scope="class")
+    def calc_program(self):
+        return compile_program(repro.compile_grammar("calc.Calculator").prepared)
+
+    def test_match_prefix(self, calc_program):
+        # The Calculation start is EOF-anchored, so use the expression level.
+        consumed, _ = VMParser(calc_program, "1+2 trailing").match_prefix("Expression")
+        assert consumed == 4  # includes the trailing-space run
+
+    def test_undefined_start(self, calc_program):
+        with pytest.raises(AnalysisError):
+            VMParser(calc_program, "1").parse("Nope")
+
+    def test_unchunked_mode(self, calc_program):
+        chunked = VMParser(calc_program, "1+2").parse()
+        assert VMParser(calc_program, "1+2", chunked=False).parse() == chunked
+
+    def test_transient_productions_not_memoized(self):
+        builder = GrammarBuilder("t", start="S")
+        builder.void("S", [ref("A"), lit("x")], [ref("A"), lit("y")])
+        builder.void("A", [plus(lit("a"))], transient=True)
+        prepared = prepare(builder.build(), Options.all().without("inline"), check=False)
+        parser = VMParser(compile_program(prepared), "aay")
+        parser.parse()
+        # Only S can have entries; A is transient.
+        assert parser.memo_entry_count() <= 2
+
+    def test_locations_tracked(self, jay_program):
+        text = "class A {\n int f() { return 1; }\n}"
+        tree = VMParser(jay_program, text, "d.jay").parse()
+        method = tree.find_all("Method")[0]
+        assert method.location is not None and method.location.line == 2
 
 
 # -- memo behavior across reset() ---------------------------------------------
@@ -201,22 +241,22 @@ class TestNullableRepetition:
         with pytest.raises(AnalysisError, match="nullable"):
             prepare(self._grammar(), Options.all())
 
-    def test_runtime_progress_guard_matches_closures(self):
+    def test_runtime_progress_guard_matches_interpreter(self):
         # With the check bypassed, every backend falls back to a runtime
-        # zero-progress break; the machine's must agree with closures',
-        # verdicts and expected sets included.
+        # zero-progress break; the machine's must agree with the reference
+        # interpreter's, verdicts and expected sets included.
         grammar = self._grammar()
-        closures = ClosureParser(grammar)
+        reference = PackratInterpreter(grammar)
         program = compile_program(grammar)
         for text in ("b", "aab", "aaab"):
-            assert VMParser(program, text).parse() == closures.parse(text)
+            assert VMParser(program, text).parse() == reference.parse(text)
         for text in ("", "a", "aac"):
-            with pytest.raises(ParseError) as cl_info:
-                closures.parse(text)
+            with pytest.raises(ParseError) as ref_info:
+                reference.parse(text)
             with pytest.raises(ParseError) as vm_info:
                 VMParser(program, text).parse()
-            assert vm_info.value.offset == cl_info.value.offset
-            assert set(vm_info.value.expected) == set(cl_info.value.expected)
+            assert vm_info.value.offset == ref_info.value.offset
+            assert set(vm_info.value.expected) == set(ref_info.value.expected)
 
 
 # -- disassembler -------------------------------------------------------------
