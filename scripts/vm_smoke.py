@@ -8,7 +8,12 @@ divergence from the generated parser:
    seeded benchmark corpora, and require structurally identical trees
    from the machine and the generated parser;
 2. real Python: parse a sample of the stdlib corpus (layout pre-pass
-   included) through ``backend="vm"`` and compare trees the same way;
+   included) through all three loop variants — plain (``backend="vm"``),
+   a cold incremental parse and a profiled parse — and compare trees the
+   same way; then a variant of each file with ``?`` at the start of its
+   middle line must get the generated parser's verdict and offset from
+   every loop (offsets only: expected-message texts differ between
+   programs by design).  It rejects unless that line lies inside a string;
 3. disassemble one grammar and sanity-check the listing/summary.
 
 See docs/vm.md.
@@ -18,10 +23,13 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro
+from repro.errors import ParseError
+from repro.profile import ParseProfile
 from repro.runtime.node import structural_diff
 from repro.vm import VMParser, compile_program, disassemble, summarize
 from repro.workloads import generate_c_program, generate_jay_program, load_corpus, python_layout
@@ -44,21 +52,56 @@ def check_seeded(root: str, corpus: list[str]) -> int:
     return 0
 
 
+def with_middle_line_error(text: str) -> str:
+    """``text`` with ``?`` at the start of its middle line: a syntax error
+    unless the line lies inside a string."""
+    lines = text.split("\n")
+    lines[len(lines) // 2] = "?" + lines[len(lines) // 2]
+    return "\n".join(lines)
+
+
+def offset_or_none(parse: Callable[[str], Any], text: str) -> int | None:
+    try:
+        parse(text)
+    except ParseError as error:
+        return error.offset
+    return None
+
+
 def check_python_sample() -> int:
     files, _ = load_corpus()
     sample = [cf for cf in files if cf.name not in ALLOWLIST][:PY_SAMPLE]
     language = repro.compile_grammar("python.Python")
-    vm_session = language.session(backend="vm")
     session = language.session()
-    nbytes = 0
+    variants = {
+        "plain": language.session(backend="vm").parse,
+        "incremental": lambda text: VMParser(
+            language.vm_program(incremental=True), text, incremental=True
+        ).parse(),
+        "profiled": lambda text: language.parse(text, backend="vm", profile=ParseProfile()),
+    }
+    nbytes = rejects = 0
     for cf in sample:
         text = python_layout(cf.text)
-        diff = structural_diff(session.parse(text), vm_session.parse(text))
-        if diff is not None:
-            print(f"FAIL python corpus {cf.name}: trees differ at {diff}", file=sys.stderr)
-            return 1
+        expected = session.parse(text)
+        for variant, parse in variants.items():
+            diff = structural_diff(expected, parse(text))
+            if diff is not None:
+                print(f"FAIL python corpus {cf.name} ({variant}): trees differ at {diff}",
+                      file=sys.stderr)
+                return 1
+        bad = with_middle_line_error(text)
+        offset = offset_or_none(session.parse, bad)
+        for variant, parse in variants.items():
+            got = offset_or_none(parse, bad)
+            if got != offset:
+                print(f"FAIL python corpus {cf.name} ({variant}): rejecting variant fails at "
+                      f"{got}, generated at {offset}", file=sys.stderr)
+                return 1
+        rejects += offset is not None
         nbytes += cf.nbytes
-    print(f"ok python corpus sample: {len(sample)} files, {nbytes} bytes, machine == generated")
+    print(f"ok python corpus sample: {len(sample)} files, {nbytes} bytes, plain/incremental/"
+          f"profiled machine == generated; {rejects} rejecting variants at equal offsets")
     return 0
 
 

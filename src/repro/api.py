@@ -247,14 +247,16 @@ class Language:
         entries right of the damage and drops only those whose *examined*
         span overlaps it, so a small edit costs work proportional to the
         damage, not the buffer (see ``docs/incremental.md``).  The session
-        runs the parsing machine's watermark-instrumented twin, whose
-        results are identical to a cold parse.
+        runs the parsing machine's watermark-tracking incremental loop,
+        whose results are identical to a cold parse.
 
         Rejects are exact too: a warm parse that fails runs a second warm
         pass that re-derives only the memo hits examined past its farthest
         offset, so the :class:`~repro.errors.ParseError` (offset, ordered
         expected tuple, line, column) is the one a cold parse reports, at
-        about the cost of a warm reparse.
+        about the cost of a warm reparse.  A ``depth_budget`` error is not
+        a reject: served hits push no frames, so it may differ from a cold
+        parse's, and it is raised after the first pass.
         """
         from repro.incremental import IncrementalSession
 

@@ -16,7 +16,7 @@ into memo-table surgery instead of a cold start:
   as memo hits by the next :meth:`~IncrementalSession.parse`.
 
 The soundness of retention rests on the **examined watermark**: the
-parsing machine's incremental twin (:class:`repro.vm.VMParser` with
+parsing machine's incremental variant (:class:`repro.vm.VMParser` with
 ``incremental=True``) records, per memo entry, the exclusive end of the
 input span its computation *read* — consumed characters, lookahead-probe
 spans (``&``/``!``), single-character dispatch reads, and failed
@@ -64,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ParseError
+from repro.errors import ParseDepthError, ParseError
 from repro.locations import LineIndex, Location
 from repro.runtime.memo import NO_FRONTIER
 from repro.runtime.node import GNode
@@ -216,11 +216,20 @@ class IncrementalSession:
         Raises :class:`~repro.errors.ParseError` on failure with exactly the
         error a cold parse reports: a warm reject is followed by a second
         pass bounded by its farthest offset (see the module docstring).
+        That guarantee covers rejects, not depth errors: served hits push
+        no frames, so a warm parse may fit a ``depth_budget`` a cold parse
+        exceeds, or exceed it elsewhere.  A
+        :class:`~repro.errors.ParseDepthError` is raised at once: the
+        second pass serves fewer hits, so it would need at least as much
+        stack and fail again.
         """
         self._recovered = False
         parser = self._parser
         try:
             value = parser.parse(self._start)
+        except ParseDepthError:
+            self._count_parse(False)
+            raise
         except ParseError as warm_error:
             # Served hits do not replay their failure records, so the cold
             # frontier may lie past this one.  Rerun, re-deriving every hit

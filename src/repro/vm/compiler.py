@@ -225,12 +225,13 @@ def compile_program(
     grammar they default to on.  ``guards`` overrides either way;
     ``profiled=True`` always disables them and emits probe ops instead.
 
-    ``incremental=True`` builds the variant executed by
-    :meth:`VMParser._run_incremental` (see docs/incremental.md): fused
-    ``Regex`` regions are lowered back to their original expressions, whose
-    reads the examined watermark can account for exactly — a single C scan
-    probes unboundedly far past its match end.  Everything else is compiled
-    identically, so incremental and plain runs agree bit for bit.
+    ``incremental=True`` builds the program run by the machine's
+    incremental loop (``VMParser(..., incremental=True)``; see
+    docs/incremental.md): fused ``Regex`` regions are lowered back to their
+    original expressions, whose reads the examined watermark can account
+    for exactly — a single C scan probes unboundedly far past its match
+    end.  Everything else is compiled identically, so incremental and plain
+    runs agree bit for bit.
     """
     if hasattr(source, "grammar"):
         grammar = source.grammar

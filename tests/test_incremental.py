@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro.difftest import EditOracle, fuzz_edits, shrink_edit_script
 from repro.difftest.oracle import Outcome
-from repro.errors import ParseError
+from repro.errors import ParseDepthError, ParseError
 from repro.incremental import StreamFeeder
 from repro.meta import ModuleLoader
 from repro.profile import ParseProfile, ProfileReport, build_report, format_report
@@ -414,6 +414,29 @@ class TestWarmRejectFrontier:
                 # one pass no key is stored twice.
                 assert len(set(second)) == len(second)
         assert rejects >= 3
+
+    def test_depth_error_raises_after_one_pass(self, jay):
+        # Served hits push no frames, so a second pass would need at least
+        # as much stack as the first: the session must not run one.
+        deep = "class A { int f() { return " + "(" * 3000 + "1" + ")" * 3000 + "; } }"
+        profile = ParseProfile()
+        session = jay.incremental(profile=profile, depth_budget=500)
+        session.set_text(deep)
+        parser = session._parser
+        passes = []
+        plain_parse = parser.parse
+
+        def parse(start=None):
+            passes.append(start)
+            return plain_parse(start)
+
+        parser.parse = parse
+        with pytest.raises(ParseDepthError) as info:
+            session.parse()
+        assert info.value.budget == 500
+        assert len(passes) == 1
+        assert not session.last_parse_recovered
+        assert (profile.parses, profile.rejected) == (1, 1)
 
 
 class TestSessionMemoRetention:

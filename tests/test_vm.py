@@ -11,6 +11,7 @@ touching the interpreter recursion limit.
 
 from __future__ import annotations
 
+import ast
 import pickle
 
 import pytest
@@ -23,7 +24,7 @@ from repro.peg.builder import GrammarBuilder, lit, plus, ref, seq
 from repro.peg.expr import Literal, Option, Repetition
 from repro.profile import ParseProfile
 from repro.runtime.node import structural_diff
-from repro.vm import VMParser, compile_program, disassemble, summarize
+from repro.vm import VMParser, compile_program, disassemble, machine, summarize
 
 JAY_TEXT = "import a.b; class A extends B { int f(int x) { return x + 1; } }"
 JAY_BAD = "class A { int f( }"
@@ -188,19 +189,80 @@ class TestMemoReset:
 # -- depth budget -------------------------------------------------------------
 
 
+def _parse_with(variant, lang, text, depth_budget=None):
+    """Parse through one of the machine's three loops."""
+    if variant == "incremental":
+        session = lang.incremental(depth_budget=depth_budget)
+        session.set_text(text)
+        return session.parse()
+    profile = ParseProfile() if variant == "profiled" else None
+    return lang.parse(text, backend="vm", depth_budget=depth_budget, profile=profile)
+
+
 class TestDepthBudget:
-    def test_deep_right_nested_input_raises_at_small_budget(self, jay_lang):
+    @pytest.mark.parametrize("variant", ["plain", "profiled", "incremental"])
+    def test_deep_right_nested_input_raises_at_small_budget(self, jay_lang, variant):
         deep = "class A { int f() { return " + "(" * 2000 + "1" + ")" * 2000 + "; } }"
+        # Offsets differ by variant: the profiled program pushes a backtrack
+        # entry for every alternative, so it runs out of stack sooner.
         with pytest.raises(ParseDepthError) as info:
-            jay_lang.parse(deep, backend="vm", depth_budget=500)
+            _parse_with(variant, jay_lang, deep, depth_budget=500)
         assert info.value.budget == 500
         # A roomy budget parses the same input fine — the input is valid.
-        assert jay_lang.parse(deep, backend="vm") is not None
+        assert _parse_with(variant, jay_lang, deep) is not None
 
     def test_depth_error_is_a_parse_error(self, jay_lang):
         deep = "class A { int f() { return " + "(" * 2000 + "1" + ")" * 2000 + "; } }"
         with pytest.raises(ParseError):
             jay_lang.parse(deep, backend="vm", depth_budget=500)
+
+
+# -- loop variants ------------------------------------------------------------
+
+
+class TestLoopVariants:
+    """The plain, incremental and profiled loops are compiled from the one
+    template, and each carries only its own state."""
+
+    def test_each_variant_holds_only_its_own_locals(self):
+        loops = {
+            "plain": machine._run_plain,
+            "incremental": machine._run_incremental,
+            "profiled": machine._run_profiled,
+        }
+        local = {name: set(loop.__code__.co_varnames) for name, loop in loops.items()}
+        assert not local["plain"] & {"wm", "rederived", "profile", "prod_stack"}
+        assert not local["incremental"] & {"pending", "columns", "profile"}
+        assert "wm" not in local["profiled"]
+        assert {"wm", "rederived"} <= local["incremental"]
+        assert {"profile", "prod_stack"} <= local["profiled"]
+        template = VMParser._machine.__code__
+        for name, loop in loops.items():
+            assert loop.__name__ == f"_run_{name}"
+            code = loop.__code__
+            assert not {"_INCREMENTAL", "_PROFILED"} & set(code.co_names)
+            # Tracebacks and coverage land on the template's lines.
+            assert (code.co_filename, code.co_firstlineno) == (
+                template.co_filename,
+                template.co_firstlineno,
+            )
+
+    def test_fold_rule(self):
+        def fold(source, value):
+            return machine._fold_test(ast.parse(source).body[0].value, {"F": value})
+
+        assert fold("F", True) is True
+        assert fold("not F", True) is False
+        assert fold("F and x", False) is False
+        assert ast.unparse(fold("not F and x", False)) == "x"
+        assert ast.unparse(fold("F and x and y", True)) == "x and y"
+        # Only a leading switch folds; anything else is left for the
+        # import-time co_names check to reject.
+        assert ast.unparse(fold("x and F", True)) == "x and F"
+
+    def test_profiled_and_incremental_programs_stay_exclusive(self, jay_lang):
+        with pytest.raises(AnalysisError):
+            compile_program(jay_lang.prepared, profiled=True, incremental=True)
 
 
 # -- error pickling -----------------------------------------------------------
