@@ -51,8 +51,8 @@ def test_e9_disabled_paths_structurally_unchanged(jay_all):
     if run is not None:
         assert type(run) is _Run
 
-    # Memo tables: without an events sink the class methods stay in
-    # charge — no per-instance closures shadowing get/put.
+    # Memo tables: the class methods are in charge — no per-instance
+    # closures shadowing get/put.
     rules = ["A", "B", "C", "D"]
     for table in (DictMemoTable(rules), ChunkedMemoTable(rules)):
         assert "get" not in table.__dict__

@@ -187,7 +187,7 @@ def _cold_parser(language):
     session runs, without the session's reject handling."""
     from repro.vm import VMParser
 
-    parser = VMParser(language.vm_program(incremental=True), incremental=True)
+    parser = VMParser(language.vm_program(incremental=True))
     return lambda text: parser.reset(text).parse()
 
 

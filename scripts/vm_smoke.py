@@ -75,9 +75,7 @@ def check_python_sample() -> int:
     session = language.session()
     variants = {
         "plain": language.session(backend="vm").parse,
-        "incremental": lambda text: VMParser(
-            language.vm_program(incremental=True), text, incremental=True
-        ).parse(),
+        "incremental": lambda text: VMParser(language.vm_program(incremental=True), text).parse(),
         "profiled": lambda text: language.parse(text, backend="vm", profile=ParseProfile()),
     }
     nbytes = rejects = 0

@@ -7,7 +7,8 @@ says whether the expression is nullable, because a nullable alternative can
 succeed on *any* next character and therefore defeats dispatch.
 
 Used by the terminal optimization (:mod:`repro.optim.terminals`) and by the
-code generator's top-level alternative guards.
+first-char alternative guards of the code generator and the parsing machine,
+whose policy lives here (:meth:`FirstAnalysis.alternative_guards`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.peg.expr import (
     Voided,
 )
 from repro.peg.grammar import Grammar
+from repro.peg.production import Production
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +54,17 @@ class FirstSet:
 
 
 _UNKNOWN = FirstSet(None, False)
+
+#: Minimum alternatives for production-level first-char guards.
+GUARD_MIN_ALTERNATIVES = 3
+
+
+def guard_message(chars: frozenset[str]) -> str:
+    """Expected message a skipped first-char guard records."""
+    shown = "".join(sorted(chars))
+    if len(shown) > 16:
+        shown = shown[:16] + "…"
+    return f"one of {shown!r}"
 
 
 class FirstAnalysis:
@@ -182,6 +195,37 @@ class FirstAnalysis:
                 return FirstSet(None, fs.nullable)
             return FirstSet(frozenset(chars | fs.chars), fs.nullable)
         raise TypeError(f"first: unhandled {type(expr).__name__}")
+
+    def alternative_guards(
+        self, production: Production
+    ) -> list[frozenset[str] | None] | None:
+        """Per-alternative first-char guard sets, or None when no
+        alternative of ``production`` is guarded.
+
+        Only productions with at least :data:`GUARD_MIN_ALTERNATIVES`
+        alternatives are guarded, and only alternatives with a known,
+        non-empty FIRST set of at most 64 characters whose skipping is
+        :meth:`dispatch_safe`.  A skipped alternative records
+        :func:`guard_message` of its set at the current position.
+        """
+        if len(production.alternatives) < GUARD_MIN_ALTERNATIVES:
+            return None
+        guards: list[frozenset[str] | None] = []
+        for alternative in production.alternatives:
+            fs = self.first(alternative.expr)
+            if (
+                fs.known
+                and fs.chars
+                and len(fs.chars) <= 64
+                # A guarded skip records one failure at ``pos``; that must
+                # be exactly what evaluating the alternative would have
+                # recorded.
+                and self.dispatch_safe(alternative.expr)
+            ):
+                guards.append(fs.chars)
+            else:
+                guards.append(None)
+        return guards if any(chars is not None for chars in guards) else None
 
     # -- dispatch safety ----------------------------------------------------
 

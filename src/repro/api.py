@@ -72,7 +72,7 @@ class Language:
         depth_budget: int | None = None,
         backend: str = "generated",
     ) -> Any:
-        """Parse ``text`` completely.
+        """Parse ``text`` completely, as a :meth:`session` of one parse.
 
         ``backend`` selects the execution strategy: ``"generated"`` (the
         default, compiled Python source) or ``"vm"`` (the parsing machine,
@@ -93,49 +93,7 @@ class Language:
         a structured :class:`~repro.errors.ParseDepthError`, never a raw
         :class:`RecursionError`.
         """
-        if backend == "vm":
-            return self._parse_vm(text, start, source, profile, depth_budget)
-        if backend != "generated":
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
-            )
-        from repro.runtime.base import recursion_budget
-
-        with recursion_budget(depth_budget):
-            if profile is None:
-                return self.parser_class(text, source).parse(start)
-            profile.register_grammar(self.prepared.grammar)
-            try:
-                value = self.profiled_parser_class(text, source, profile=profile).parse(start)
-            except Exception:
-                profile.count_parse(text, accepted=False)
-                raise
-            profile.count_parse(text, accepted=True)
-            return value
-
-    def _parse_vm(
-        self,
-        text: str,
-        start: str | None,
-        source: str,
-        profile: Any,
-        depth_budget: int | None,
-    ) -> Any:
-        from repro.vm import VMParser
-
-        program = self.vm_program(profiled=profile is not None)
-        if profile is None:
-            return VMParser(program, text, source, depth_budget=depth_budget).parse(start)
-        profile.register_grammar(self.prepared.grammar)
-        try:
-            value = VMParser(
-                program, text, source, profile=profile, depth_budget=depth_budget
-            ).parse(start)
-        except Exception:
-            profile.count_parse(text, accepted=False)
-            raise
-        profile.count_parse(text, accepted=True)
-        return value
+        return self.session(start, profile, depth_budget, backend).parse(text, source)
 
     def vm_program(self, profiled: bool = False, incremental: bool = False):
         """The grammar lowered to parsing-machine bytecode, compiled on first
@@ -173,12 +131,9 @@ class Language:
 
         return trace_parse(self.interpreter(), text, start=start, source=source)
 
-    def parser(self, text: str, source: str = "<input>", profile: Any = None):
-        """A fresh generated-parser instance over ``text`` (the profiled
-        twin when ``profile`` is given)."""
-        if profile is None:
-            return self.parser_class(text, source)
-        return self.profiled_parser_class(text, source, profile=profile)
+    def parser(self, text: str, source: str = "<input>"):
+        """A fresh generated-parser instance over ``text``."""
+        return self.parser_class(text, source)
 
     @property
     def profiled_parser_class(self) -> type:

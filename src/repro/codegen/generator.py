@@ -26,7 +26,7 @@ executes it and returns the parser class.
 
 from __future__ import annotations
 
-from repro.analysis.first import FirstAnalysis
+from repro.analysis.first import FirstAnalysis, guard_message
 from repro.errors import CodegenError
 from repro.optim.options import Options
 from repro.optim.pipeline import PreparedGrammar
@@ -58,20 +58,10 @@ from repro.codegen.writer import CodeWriter
 
 #: Memo chunk size for the chunked organization.
 CHUNK_SIZE = 8
-#: Minimum alternatives for production-level first-char guards.
-GUARD_MIN_ALTERNATIVES = 3
 
 
 def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name)
-
-
-def _first_set_message(chars: frozenset[str]) -> str:
-    """Human-readable expected message for a skipped first-char guard."""
-    shown = "".join(sorted(chars))
-    if len(shown) > 16:
-        shown = shown[:16] + "…"
-    return f"one of {shown!r}"
 
 
 class ParserGenerator:
@@ -370,17 +360,14 @@ class ParserGenerator:
                     with w.block("if chunk is None:"):
                         w.line(f"chunk = col[{chunk_index}] = [None] * CHUNK_SIZE")
                     w.line(f"m = chunk[{slot}]")
-                    with w.block("if m is not None:"):
-                        if self.profiled:
-                            self._bump(w, "memo_hits", prof_name)
-                        w.line("return m")
                 else:
                     w.line(f"key = ({index}, pos)")
                     w.line("m = self._memo.get(key)")
-                    with w.block("if m is not None:"):
-                        if self.profiled:
-                            self._bump(w, "memo_hits", prof_name)
-                        w.line("return m")
+                with w.block("if m is not None:"):
+                    if self.profiled:
+                        self._bump(w, "memo_hits", prof_name)
+                        self._bump_outcome(w, "m", prof_name)
+                    w.line("return m")
                 if self.profiled:
                     self._bump(w, "memo_misses", prof_name)
             w.line("text = self._text")
@@ -391,12 +378,17 @@ class ParserGenerator:
                 else:
                     w.line("self._memo[key] = result")
             if self.profiled:
-                with w.block("if result[0] < 0:"):
-                    self._bump(w, "failures", prof_name)
-                with w.block("else:"):
-                    self._bump(w, "successes", prof_name)
+                self._bump_outcome(w, "result", prof_name)
             w.line("return result")
         w.line()
+
+    def _bump_outcome(self, w: CodeWriter, result: str, prof_name: str) -> None:
+        """Count ``result`` as one success or failure of ``prof_name``,
+        whether it was just computed or served from the memo."""
+        with w.block(f"if {result}[0] < 0:"):
+            self._bump(w, "failures", prof_name)
+        with w.block("else:"):
+            self._bump(w, "successes", prof_name)
 
     def _production_body(self, w: CodeWriter, production: Production) -> None:
         guards = self._alternative_guards(production)
@@ -439,27 +431,15 @@ class ParserGenerator:
         self, production: Production
     ) -> list[tuple[str, str] | None] | None:
         """Per-alternative first-char guard ``(charset const, expected
-        message)`` pairs, or None when guarding is disabled."""
-        if self.first is None or len(production.alternatives) < GUARD_MIN_ALTERNATIVES:
+        message)`` pairs, or None when the production is unguarded (policy:
+        :meth:`FirstAnalysis.alternative_guards`)."""
+        sets = self.first.alternative_guards(production) if self.first else None
+        if sets is None:
             return None
-        guards: list[tuple[str, str] | None] = []
-        useful = False
-        for alternative in production.alternatives:
-            fs = self.first.first(alternative.expr)
-            if (
-                fs.known
-                and fs.chars
-                and len(fs.chars) <= 64
-                # A guarded skip records one failure at ``pos``; that must be
-                # exactly what evaluating the alternative would have recorded
-                # (see FirstAnalysis.dispatch_safe).
-                and self.first.dispatch_safe(alternative.expr)
-            ):
-                guards.append((self._charset_const(fs.chars), _first_set_message(fs.chars)))
-                useful = True
-            else:
-                guards.append(None)
-        return guards if useful else None
+        return [
+            None if chars is None else (self._charset_const(chars), guard_message(chars))
+            for chars in sets
+        ]
 
     def _alternative_attempt(
         self, w: CodeWriter, production: Production, alternative, alt_index: int = 0

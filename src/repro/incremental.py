@@ -16,11 +16,11 @@ into memo-table surgery instead of a cold start:
   as memo hits by the next :meth:`~IncrementalSession.parse`.
 
 The soundness of retention rests on the **examined watermark**: the
-parsing machine's incremental variant (:class:`repro.vm.VMParser` with
-``incremental=True``) records, per memo entry, the exclusive end of the
-input span its computation *read* — consumed characters, lookahead-probe
-spans (``&``/``!``), single-character dispatch reads, and failed
-expectations alike.  An entry is reusable after an edit exactly when that
+parsing machine's incremental variant (a :class:`repro.vm.VMParser` over
+``Language.vm_program(incremental=True)``) records, per memo entry, the
+exclusive end of the input span its computation *read* — consumed
+characters, lookahead-probe spans (``&``/``!``), single-character
+dispatch reads, and failed expectations alike.  An entry is reusable after an edit exactly when that
 span misses the damage; fused ``Regex`` regions, whose single C scan can
 examine unboundedly far past its match end, are compiled back to their
 original expressions in incremental programs so the watermark stays tight.
@@ -112,7 +112,7 @@ class IncrementalSession:
             production.has("withLocation") for production in grammar
         )
         program = language.vm_program(incremental=True)
-        self._parser = VMParser(program, depth_budget=depth_budget, incremental=True)
+        self._parser = VMParser(program, depth_budget=depth_budget)
         self._memo = self._parser._memo
 
     def _rebind(self) -> None:

@@ -3,18 +3,15 @@
 :class:`ProfilingRun` subclasses the interpreter's per-parse ``_Run`` and
 overrides exactly the seams where telemetry attaches:
 
-- ``apply`` — per-production invocation counts, success/failure outcomes,
-  and the production stack used to attribute farthest-failure advances;
+- ``apply`` — per-production invocation counts, memo hits and misses (it
+  probes the memo before the inherited ``apply`` looks the entry up again,
+  a cost only profiled runs pay), success/failure outcomes, and the
+  production stack used to attribute farthest-failure advances;
 - ``_apply_uncached`` — per-alternative coverage (entered/succeeded),
   backtrack counts, and wasted-character estimates (the characters a failed
   alternative consumed before being abandoned);
 - ``_expected`` — farthest-failure contribution attribution (charged to the
-  innermost production being evaluated when the frontier advances);
-- the memo table — constructed with a
-  :class:`~repro.profile.collector.MemoEvents` sink, so hit/miss telemetry
-  comes from the table itself (the same wiring both
-  :class:`~repro.runtime.memo.DictMemoTable` and
-  :class:`~repro.runtime.memo.ChunkedMemoTable` expose to any backend).
+  innermost production being evaluated when the frontier advances).
 
 The uninstrumented ``_Run`` is untouched: an interpreter without a profile
 never loads this module (see ``GrammarInterpreter._run``).
@@ -23,8 +20,7 @@ never loads this module (see ``GrammarInterpreter._run``).
 from __future__ import annotations
 
 from repro.interp.evaluator import FAIL, GrammarInterpreter, _CompiledProduction, _Run
-from repro.profile.collector import MemoEvents, ParseProfile
-from repro.runtime.memo import make_memo_table
+from repro.profile.collector import ParseProfile
 
 
 class ProfilingRun(_Run):
@@ -39,15 +35,17 @@ class ProfilingRun(_Run):
         # The inherited _eval counts fused Regex scans into this dict when
         # set (one attribute check on the plain path, nothing more).
         self._fused_counts = profile.fused_scans
-        if self._memo is not None:
-            names = list(interpreter._productions)
-            self._memo = make_memo_table(
-                names, chunked=interpreter.chunked, events=MemoEvents(profile, names)
-            )
 
     def apply(self, name: str, pos: int):
         profile = self._profile
         profile.invoke(name)
+        memo = self._memo
+        prod = self._interp._productions.get(name)
+        if memo is not None and prod is not None and not prod.transient:
+            if memo.get(prod.index, pos) is None:
+                profile.memo_miss(name)
+            else:
+                profile.memo_hit(name)
         self._stack.append(name)
         try:
             result = super().apply(name, pos)

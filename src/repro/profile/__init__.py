@@ -4,7 +4,7 @@ The subsystem has three layers (see ``docs/profiling.md``):
 
 - :mod:`repro.profile.collector` — the :class:`ParseProfile` collector the
   instrumented backends report into, plus the :class:`CoverageMatrix` of
-  per-alternative coverage and the :class:`MemoEvents` memo-table sink;
+  per-alternative coverage;
 - :mod:`repro.profile.report` — frozen, JSON-round-trippable
   :class:`ProfileReport` snapshots and their human-readable rendering;
 - :mod:`repro.profile.runner` — corpus runners: :func:`profile_corpus`
@@ -15,7 +15,7 @@ Instrumentation is strictly opt-in: without a profile attached, every
 backend keeps its uninstrumented shape (enforced by benchmark E9).
 """
 
-from repro.profile.collector import CoverageMatrix, MemoEvents, ParseProfile
+from repro.profile.collector import CoverageMatrix, ParseProfile
 from repro.profile.report import (
     AlternativeCoverage,
     ProductionProfile,
@@ -34,7 +34,7 @@ from repro.profile.runner import (
 )
 
 __all__ = [
-    "ParseProfile", "CoverageMatrix", "MemoEvents",
+    "ParseProfile", "CoverageMatrix",
     "ProfileReport", "ProductionProfile", "AlternativeCoverage",
     "build_report", "format_report",
     "BACKENDS", "CoverageSession", "profile_corpus",

@@ -4,8 +4,9 @@ A :class:`ParseProfile` accumulates, over any number of parses on any
 backend, the quantities the paper's optimization story is argued from:
 
 - per-production **invocation counts** (memo-served applications included),
-- **memo hits/misses** (fed by the memo tables through an events sink, or
-  by the generated parsers' inlined memo code),
+- **memo hits/misses**, counted where each engine already branches on its
+  memo lookup (the interpreter's ``apply``, the parsing machine's ``CALL``,
+  the generated parsers' inlined memo code),
 - **backtrack counts** — failed alternative attempts — together with a
   **wasted-character estimate** (characters consumed by an alternative's
   successfully matched prefix before the attempt was abandoned),
@@ -23,8 +24,6 @@ for them only when a profile is attached (see ``docs/profiling.md``).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.peg.grammar import Grammar
 
@@ -242,26 +241,3 @@ class ParseProfile:
         looked_up = self.total_memo_hits() + self.total_memo_misses()
         return self.total_memo_hits() / looked_up if looked_up else 0.0
 
-
-class MemoEvents:
-    """Adapter from memo-table events (dense rule indices) to a profile.
-
-    Memo tables address productions by dense integer index; the adapter
-    translates back to names via the table's own ``rule_names`` list so the
-    :class:`ParseProfile` stays name-keyed and backend-agnostic.
-    """
-
-    __slots__ = ("_profile", "_names")
-
-    def __init__(self, profile: ParseProfile, rule_names: list[str]):
-        self._profile = profile
-        self._names = list(rule_names)
-
-    def hit(self, rule: int, pos: int, entry: tuple[int, Any]) -> None:
-        self._profile.memo_hit(self._names[rule])
-
-    def miss(self, rule: int, pos: int) -> None:
-        self._profile.memo_miss(self._names[rule])
-
-    def store(self, rule: int, pos: int, entry: tuple[int, Any]) -> None:
-        """Stores are implied by misses; counted only by custom sinks."""

@@ -16,15 +16,9 @@ measured (experiment E3):
 
 Entries are ``(next_pos, value)`` pairs; failures store ``(-1, None)``.
 Both tables present the same ``get(rule_index, pos)`` / ``put`` interface;
-the production *index* (dense int) is assigned by the caller.
-
-Both tables accept an optional ``events`` sink (``hit(rule, pos, entry)`` /
-``miss(rule, pos)`` / ``store(rule, pos, entry)``, see
-:class:`repro.profile.collector.MemoEvents`) used by the profiling
-subsystem for memo telemetry.  Instrumentation is pay-for-what-you-use:
-with no sink the class-level ``get``/``put`` run unchanged; with a sink,
-instrumented closures are installed as *instance* attributes, shadowing
-the fast methods for that table only.
+the production *index* (dense int) is assigned by the caller.  The
+profilers count memo hits and misses where their engines already branch on
+a lookup; the tables themselves carry no instrumentation.
 
 A third organization, :class:`IncrementalMemoTable`, serves incremental
 reparsing (``docs/incremental.md``): a position-indexed column list holding
@@ -50,40 +44,16 @@ _ABSENT = None  # absent entries are represented by None slots
 class DictMemoTable:
     """Baseline packrat memo table: one dict keyed by (rule_index, pos)."""
 
-    def __init__(
-        self, rule_names: list[str], chunk_size: int = DEFAULT_CHUNK_SIZE, events=None
-    ):
+    def __init__(self, rule_names: list[str], chunk_size: int = DEFAULT_CHUNK_SIZE):
         self._table: dict[tuple[int, int], tuple[int, Any]] = {}
         self.rule_names = list(rule_names)
         self._size_cache: tuple[int, int] | None = None  # (entry_count, bytes)
-        if events is not None:
-            self._install_events(events)
 
     def get(self, rule: int, pos: int) -> tuple[int, Any] | None:
         return self._table.get((rule, pos))
 
     def put(self, rule: int, pos: int, entry: tuple[int, Any]) -> None:
         self._table[(rule, pos)] = entry
-
-    def _install_events(self, events) -> None:
-        """Shadow ``get``/``put`` with event-reporting closures (instance
-        attributes only; the uninstrumented class methods are untouched)."""
-        table = self._table
-
-        def get(rule: int, pos: int):
-            entry = table.get((rule, pos))
-            if entry is None:
-                events.miss(rule, pos)
-            else:
-                events.hit(rule, pos, entry)
-            return entry
-
-        def put(rule: int, pos: int, entry) -> None:
-            table[(rule, pos)] = entry
-            events.store(rule, pos, entry)
-
-        self.get = get
-        self.put = put
 
     def clear(self) -> None:
         self._table.clear()
@@ -129,9 +99,7 @@ class ChunkedMemoTable:
     memoized at that position.
     """
 
-    def __init__(
-        self, rule_names: list[str], chunk_size: int = DEFAULT_CHUNK_SIZE, events=None
-    ):
+    def __init__(self, rule_names: list[str], chunk_size: int = DEFAULT_CHUNK_SIZE):
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         self.rule_names = list(rule_names)
@@ -144,8 +112,6 @@ class ChunkedMemoTable:
         self._entries = 0
         self._chunks = 0
         self._size_cache: tuple[int, int] | None = None  # (entry_count, bytes)
-        if events is not None:
-            self._install_events(events)
 
     def get(self, rule: int, pos: int) -> tuple[int, Any] | None:
         column = self._columns.get(pos)
@@ -169,27 +135,6 @@ class ChunkedMemoTable:
         if chunk[slot] is None:
             self._entries += 1
         chunk[slot] = entry
-
-    def _install_events(self, events) -> None:
-        """Shadow ``get``/``put`` with event-reporting closures (instance
-        attributes only; the uninstrumented class methods are untouched)."""
-        plain_get = ChunkedMemoTable.get
-        plain_put = ChunkedMemoTable.put
-
-        def get(rule: int, pos: int):
-            entry = plain_get(self, rule, pos)
-            if entry is None:
-                events.miss(rule, pos)
-            else:
-                events.hit(rule, pos, entry)
-            return entry
-
-        def put(rule: int, pos: int, entry) -> None:
-            plain_put(self, rule, pos, entry)
-            events.store(rule, pos, entry)
-
-        self.get = get
-        self.put = put
 
     def clear(self) -> None:
         self._columns.clear()
@@ -422,11 +367,8 @@ class IncrementalMemoTable:
 
 
 def make_memo_table(
-    rule_names: list[str],
-    chunked: bool,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    events=None,
+    rule_names: list[str], chunked: bool, chunk_size: int = DEFAULT_CHUNK_SIZE
 ):
     """Factory selecting the table organization for a parser run."""
     cls = ChunkedMemoTable if chunked else DictMemoTable
-    return cls(rule_names, chunk_size, events=events)
+    return cls(rule_names, chunk_size)

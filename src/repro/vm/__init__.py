@@ -15,8 +15,9 @@ reference) and generated source (:mod:`repro.codegen`, the default):
   --disasm``).
 
 The semantics are bit-for-bit those of the other backends: same structural
-ASTs, same farthest-failure offsets and expected sets, same memo-table
-organizations, same deferred fused-failure replay.  The differential oracle
+ASTs, same farthest-failure offsets and expected sets, same deferred
+fused-failure replay.  The program decides how it runs: its loop (plain,
+incremental or profiled) and its memo table.  The differential oracle
 (:mod:`repro.difftest.oracle`) pins this down.
 """
 

@@ -20,9 +20,10 @@ Two compilations exist per grammar: the plain program, and on demand a
 *profiled twin* (``profiled=True``) with per-alternative probe ops and
 named backtrack entries so :class:`repro.profile.ParseProfile` counters can
 be attributed from instruction indices back to production names.  The twin
-drops the first-char alternative guards — like the generated parser's
-guards they are ``dispatch_safe``-gated, so offsets (though not expected
-message texts) are unchanged either way.
+drops the first-char alternative guards — they are ``dispatch_safe``-gated
+(:meth:`~repro.analysis.first.FirstAnalysis.alternative_guards`, the policy
+the code generator follows too), so offsets (though not expected message
+texts) are unchanged either way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analysis.first import FirstAnalysis
+from repro.analysis.first import FirstAnalysis, guard_message
 from repro.errors import AnalysisError
 from repro.peg.expr import (
     Action,
@@ -56,10 +57,6 @@ from repro.peg.expr import (
 from repro.peg.grammar import Grammar
 from repro.peg.production import Production, ValueKind
 from repro.peg.values import binding_names, contributes, kind_lookup, node_name
-
-#: Minimum alternatives for production-level first-char guards (mirrors the
-#: code generator's policy so guard-recorded expected messages agree).
-GUARD_MIN_ALTERNATIVES = 3
 
 # ---------------------------------------------------------------------------
 # Opcodes.  Numbered roughly by dispatch frequency: the machine's if/elif
@@ -162,14 +159,6 @@ FAIL_IP = 0
 HALT_IP = 1
 
 
-def _first_set_message(chars: frozenset[str]) -> str:
-    """Guard-skip expected message; must match the code generator's."""
-    shown = "".join(sorted(chars))
-    if len(shown) > 16:
-        shown = shown[:16] + "…"
-    return f"one of {shown!r}"
-
-
 class _Label:
     """A forward-reference instruction address, patched at finalize time."""
 
@@ -197,7 +186,6 @@ class VMProgram:
     memo_index: dict[str, int]
     rule_spans: tuple[tuple[str, int, int], ...]
     profiled: bool = False
-    chunked: bool = True
     incremental: bool = False
     grammar_name: str = "grammar"
     grammar: Grammar | None = field(default=None, repr=False, compare=False)
@@ -211,63 +199,45 @@ class VMProgram:
 
 
 def compile_program(
-    source: Any,
-    *,
-    profiled: bool = False,
-    guards: bool | None = None,
-    incremental: bool = False,
+    source: Any, *, profiled: bool = False, incremental: bool = False
 ) -> VMProgram:
     """Compile a grammar (or a :class:`~repro.optim.PreparedGrammar`) to a
     :class:`VMProgram`.
 
     For a prepared grammar the first-char alternative guards follow the
     ``terminals`` optimization flag (like the code generator); for a bare
-    grammar they default to on.  ``guards`` overrides either way;
-    ``profiled=True`` always disables them and emits probe ops instead.
+    grammar they are on.  ``profiled=True`` always drops them and emits
+    probe ops instead.
 
-    ``incremental=True`` builds the program run by the machine's
-    incremental loop (``VMParser(..., incremental=True)``; see
-    docs/incremental.md): fused ``Regex`` regions are lowered back to their
-    original expressions, whose reads the examined watermark can account
-    for exactly — a single C scan probes unboundedly far past its match
-    end.  Everything else is compiled identically, so incremental and plain
-    runs agree bit for bit.
+    The program decides how :class:`~repro.vm.machine.VMParser` runs it:
+    ``profiled=True`` builds the program of the profiled loop, which needs
+    a ``profile=``; ``incremental=True`` the program of the incremental
+    loop (docs/incremental.md), in which fused ``Regex`` regions are
+    lowered back to their original expressions, whose reads the examined
+    watermark can account for exactly — a single C scan probes unboundedly
+    far past its match end.  Everything else is compiled identically, so
+    incremental and plain runs agree bit for bit.
     """
     if hasattr(source, "grammar"):
         grammar = source.grammar
-        if guards is None:
-            guards = bool(source.options.terminals)
-        chunked = bool(source.chunked_memo)
+        guards = bool(source.options.terminals)
     else:
         grammar = source
-        if guards is None:
-            guards = True
-        chunked = True
+        guards = True
     if profiled and incremental:
         raise AnalysisError("vm compiler: profiled and incremental are exclusive")
     return _Compiler(
-        grammar,
-        profiled=profiled,
-        guards=guards,
-        chunked=chunked,
-        incremental=incremental,
+        grammar, profiled=profiled, guards=guards, incremental=incremental
     ).compile()
 
 
 class _Compiler:
     def __init__(
-        self,
-        grammar: Grammar,
-        *,
-        profiled: bool,
-        guards: bool,
-        chunked: bool,
-        incremental: bool = False,
+        self, grammar: Grammar, *, profiled: bool, guards: bool, incremental: bool
     ):
         grammar.validate()
         self.grammar = grammar
         self.profiled = profiled
-        self.chunked = chunked
         self.incremental = incremental
         self.kind_of = kind_lookup(grammar)
         self.with_location = "withLocation" in grammar.options
@@ -313,7 +283,6 @@ class _Compiler:
             memo_index=self.memo_index,
             rule_spans=tuple(spans),
             profiled=self.profiled,
-            chunked=self.chunked,
             incremental=self.incremental,
             grammar_name=self.grammar.name,
             grammar=self.grammar,
@@ -335,7 +304,7 @@ class _Compiler:
         if not production.alternatives:
             raise AnalysisError(f"production {production.name} has no alternatives")
         self._mark(self.rule_labels[production.name])
-        guards = self._alternative_guards(production)
+        guards = self.first.alternative_guards(production) if self.first else None
         count = len(production.alternatives)
         for index, alternative in enumerate(production.alternatives):
             next_label = _Label() if index < count - 1 else None
@@ -347,7 +316,8 @@ class _Compiler:
             else:
                 pushed = next_label is not None
                 if guards is not None and guards[index] is not None:
-                    charset, message = guards[index]
+                    charset = guards[index]
+                    message = guard_message(charset)
                     if pushed:
                         # Fused guard + backtrack push: the guard's skip
                         # target and the choice's resume target coincide.
@@ -359,31 +329,6 @@ class _Compiler:
             self._compile_alternative(production, alternative, index, pushed)
             if next_label is not None:
                 self._mark(next_label)
-
-    def _alternative_guards(self, production: Production):
-        """Per-alternative ``(charset, message)`` guards, or None.
-
-        Same policy as the code generator: only with the ``terminals``
-        analysis available, only for productions with enough alternatives,
-        and only where skipping is provably ``dispatch_safe``.
-        """
-        if self.first is None or len(production.alternatives) < GUARD_MIN_ALTERNATIVES:
-            return None
-        guards: list[tuple[frozenset[str], str] | None] = []
-        useful = False
-        for alternative in production.alternatives:
-            fs = self.first.first(alternative.expr)
-            if (
-                fs.known
-                and fs.chars
-                and len(fs.chars) <= 64
-                and self.first.dispatch_safe(alternative.expr)
-            ):
-                guards.append((fs.chars, _first_set_message(fs.chars)))
-                useful = True
-            else:
-                guards.append(None)
-        return guards if useful else None
 
     def _compile_alternative(
         self, production: Production, alternative, index: int, pushed: bool

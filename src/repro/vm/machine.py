@@ -26,8 +26,14 @@ are tagged tuples (lists for the mutable repetition entries):
 
 The loop is written once, as the template :meth:`VMParser._machine`;
 its plain, incremental and profiled variants are compiled from it at
-import (:func:`_specialize`).  The profiled variant keeps the names of the
-active productions on a local ``prod_stack``, not in the frames.
+import (:func:`_specialize`).  The program picks the variant and the memo
+table: a profiled program runs the profiled loop, an incremental one the
+incremental loop over an :class:`~repro.runtime.memo.IncrementalMemoTable`,
+and every other program the plain loop; the plain and profiled loops read
+a :class:`~repro.runtime.memo.ChunkedMemoTable` inline.  The profiled
+variant keeps the names of the active productions on a local
+``prod_stack``, not in the frames, and counts memo hits and misses at
+``CALL``.
 
 Failure is a jump: a failing instruction notes its expectation and jumps
 to ip 0, where the unwinder records it into the farthest-failure locals and
@@ -76,12 +82,7 @@ from repro.peg.expr import (
 from repro.peg.expr import Choice as ChoiceExpr
 from repro.runtime.actionlib import ACTION_GLOBALS
 from repro.runtime.base import ParserBase
-from repro.runtime.memo import (
-    NO_FRONTIER,
-    ChunkedMemoTable,
-    IncrementalMemoTable,
-    make_memo_table,
-)
+from repro.runtime.memo import NO_FRONTIER, ChunkedMemoTable, IncrementalMemoTable
 from repro.runtime.node import GNode
 from repro.vm.compiler import (
     HALT_IP,
@@ -161,9 +162,10 @@ class VMParser(ParserBase):
 
     The constructor mirrors generated parsers (``VMParser(program, text,
     source)`` then :meth:`parse`), and :meth:`reset` re-points the instance
-    at a new input in place, reusing the memo-table container.  With
-    ``profile=`` the program must be the profiled twin
-    (``compile_program(..., profiled=True)``).
+    at a new input in place, reusing the memo-table container.  The program
+    decides the loop and the memo table (module docstring).  A profiled
+    program (``compile_program(..., profiled=True)``) needs ``profile=``,
+    and ``profile=`` needs a profiled program.
     """
 
     def __init__(
@@ -172,43 +174,24 @@ class VMParser(ParserBase):
         text: str = "",
         source: str = "<input>",
         *,
-        chunked: bool | None = None,
         profile: Any = None,
         depth_budget: int | None = None,
-        incremental: bool = False,
     ):
         super().__init__(text)
         self._source = source
         self._program = program
         self._profile = profile
         self._depth_budget = depth_budget
-        self._incremental = incremental
-        if profile is not None and not program.profiled:
-            raise AnalysisError("profiled VM parse needs the profiled twin program")
-        if incremental and not program.incremental:
+        if program.profiled != (profile is not None):
             raise AnalysisError(
-                "incremental VM parse needs an incremental program "
-                "(compile_program(..., incremental=True))"
+                "a profiled VM program runs with a profile, and a profile "
+                "needs the profiled program (compile_program(..., profiled=True))"
             )
-        if incremental and profile is not None:
-            raise AnalysisError(
-                "incremental VM parsers do not support profile=; "
-                "attach the profile to the IncrementalSession instead"
-            )
-        if chunked is None:
-            chunked = program.chunked
-        self._chunked = chunked
         rule_names = list(program.memo_rules)
-        if profile is not None:
-            from repro.profile.collector import MemoEvents
-
-            self._memo = make_memo_table(
-                rule_names, chunked=chunked, events=MemoEvents(profile, rule_names)
-            )
-        elif incremental:
+        if program.incremental:
             self._memo = IncrementalMemoTable(rule_names).resize(self._length)
         else:
-            self._memo = make_memo_table(rule_names, chunked=chunked)
+            self._memo = ChunkedMemoTable(rule_names)
         #: Examined-end bound on served memo hits (incremental loop only).
         self._frontier = NO_FRONTIER
 
@@ -225,7 +208,7 @@ class VMParser(ParserBase):
         return self._run(start or self._program.start)
 
     def _reset_memo(self) -> None:
-        if self._incremental:
+        if self._program.incremental:
             # The incremental table is sized to the text; a reset after a
             # rebind must adopt the current length, not the old geometry.
             self._memo.resize(self._length)
@@ -327,9 +310,10 @@ class VMParser(ParserBase):
     # -- the machine ---------------------------------------------------------
 
     def _run(self, start: str) -> tuple[int, Any]:
-        if self._profile is not None:
+        program = self._program
+        if program.profiled:
             return _run_profiled(self, start)
-        if self._incremental:
+        if program.incremental:
             return _run_incremental(self, start)
         return _run_plain(self, start)
 
@@ -359,12 +343,12 @@ class VMParser(ParserBase):
         (``rederived``): a session's second pass after a warm reject
         (:mod:`repro.incremental`).
 
-        The profiled variant runs the profiled program: method-based memo
-        access so :class:`~repro.profile.collector.MemoEvents` fire,
-        per-alternative probes, and farthest-failure attribution to
-        ``prod_stack[-1]`` wherever ``fail_pos`` advances.  Its *wasted*
-        figure is an estimate: the distance from an alternative's entry to
-        the failure position, progress inside a failing callee included.
+        The profiled variant runs the profiled program: memo hits and
+        misses counted at ``CALL``, per-alternative probes, and
+        farthest-failure attribution to ``prod_stack[-1]`` wherever
+        ``fail_pos`` advances.  Its *wasted* figure is an estimate: the
+        distance from an alternative's entry to the failure position,
+        progress inside a failing callee included.
         """
         program = self._program
         code = program.code
@@ -379,16 +363,11 @@ class VMParser(ParserBase):
             cols = memo._cols  # position-indexed column list (IncrementalMemoTable)
             bound = self._frontier
             rederived: set[tuple[int, int]] = set()
-        # Inline the chunked fast path: with no events sink installed the
-        # memo get is two list index operations, not a method call.
-        elif type(memo) is ChunkedMemoTable and "get" not in memo.__dict__:
+        else:
+            # The ChunkedMemoTable's get, inlined: two list index operations,
+            # not a method call.
             columns = memo._columns
             csize = memo._chunk_size
-            mget = None
-        else:
-            columns = None
-            csize = 0
-            mget = memo.get
         budget = self._depth_budget
         limit = DEFAULT_STACK_BUDGET if budget is None else budget
         if not _INCREMENTAL:
@@ -461,16 +440,15 @@ class VMParser(ParserBase):
                                 continue
                             rederived.add((midx, pos))
                     else:
-                        if columns is not None:
-                            column = columns.get(pos)
-                            if column is None:
-                                hit = None
-                            else:
-                                chunk = column.chunks[midx // csize]
-                                hit = None if chunk is None else chunk[midx % csize]
+                        column = columns.get(pos)
+                        if column is None:
+                            hit = None
                         else:
-                            hit = mget(midx, pos)
+                            chunk = column.chunks[midx // csize]
+                            hit = None if chunk is None else chunk[midx % csize]
                         if hit is not None:
+                            if _PROFILED:
+                                profile.memo_hit(name)
                             npos = hit[0]
                             if npos < 0:
                                 if _PROFILED:
@@ -483,6 +461,8 @@ class VMParser(ParserBase):
                                 vals_append(hit[1])
                                 ip += 1
                             continue
+                        if _PROFILED:
+                            profile.memo_miss(name)
                 if len(stack) >= limit:
                     self._fail_pos = fail_pos
                     self._fail_expected = fail_exp
@@ -606,15 +586,12 @@ class VMParser(ParserBase):
                                 continue
                             rederived.add((midx, pos))
                     else:
-                        if columns is not None:
-                            column = columns.get(pos)
-                            if column is None:
-                                hit = None
-                            else:
-                                chunk = column.chunks[midx // csize]
-                                hit = None if chunk is None else chunk[midx % csize]
+                        column = columns.get(pos)
+                        if column is None:
+                            hit = None
                         else:
-                            hit = mget(midx, pos)
+                            chunk = column.chunks[midx // csize]
+                            hit = None if chunk is None else chunk[midx % csize]
                         if hit is not None:
                             npos = hit[0]
                             if npos < 0:

@@ -331,7 +331,7 @@ def _cold_parse(language, text: str):
     from repro.vm import VMParser
 
     program = language.vm_program(incremental=True)
-    return VMParser(program, text, incremental=True).parse()
+    return VMParser(program, text).parse()
 
 
 def _error_fields(error: ParseError) -> tuple:

@@ -191,48 +191,3 @@ class TestChunkedIncrementalCounts:
         table.put(0, 0, (1, None))
         assert table.chunk_count() == 1
 
-
-class RecordingEvents:
-    """Minimal sink capturing the raw event stream."""
-
-    def __init__(self):
-        self.events = []
-
-    def hit(self, rule, pos, entry):
-        self.events.append(("hit", rule, pos))
-
-    def miss(self, rule, pos):
-        self.events.append(("miss", rule, pos))
-
-    def store(self, rule, pos, entry):
-        self.events.append(("store", rule, pos))
-
-
-@pytest.mark.parametrize("chunked", [True, False])
-class TestEventsSink:
-    def test_event_stream(self, chunked):
-        sink = RecordingEvents()
-        table = make_memo_table(RULES, chunked=chunked, events=sink)
-        table.get(3, 7)
-        table.put(3, 7, (8, "v"))
-        table.get(3, 7)
-        assert sink.events == [("miss", 3, 7), ("store", 3, 7), ("hit", 3, 7)]
-
-    def test_instrumented_semantics_unchanged(self, chunked):
-        plain = make_memo_table(RULES, chunked=chunked)
-        wired = make_memo_table(RULES, chunked=chunked, events=RecordingEvents())
-        for table in (plain, wired):
-            table.put(1, 2, (3, "x"))
-            table.put(5, 0, (-1, None))
-        for rule, pos in [(1, 2), (5, 0), (0, 0)]:
-            assert plain.get(rule, pos) == wired.get(rule, pos)
-        assert plain.entry_count() == wired.entry_count()
-
-    def test_no_sink_no_instance_overrides(self, chunked):
-        # Pay-for-what-you-use: without a sink, get/put resolve to the plain
-        # class methods — nothing instrumented sits on the instance.
-        table = make_memo_table(RULES, chunked=chunked)
-        assert "get" not in table.__dict__
-        assert "put" not in table.__dict__
-        wired = make_memo_table(RULES, chunked=chunked, events=RecordingEvents())
-        assert "get" in wired.__dict__ and "put" in wired.__dict__

@@ -11,11 +11,11 @@ import pytest
 
 from repro.errors import ParseError
 from repro.interp import PackratInterpreter
+from repro.optim import Options, prepare
 from repro.peg.builder import GrammarBuilder, cc, lit, ref, text
 from repro.profile import (
     BACKENDS,
     CoverageMatrix,
-    MemoEvents,
     ParseProfile,
     ProfileReport,
     build_report,
@@ -55,8 +55,11 @@ class TestHandComputedCounts:
         if backend == "interp":
             PackratInterpreter(grammar, chunked=chunked, profile=profile).parse("ac")
         else:
-            program = compile_program(grammar, profiled=True)
-            VMParser(program, "ac", chunked=chunked, profile=profile).parse()
+            # Without ``chunked`` the program comes from a chunks-off
+            # pipeline; the machine reads its one memo layout either way.
+            source = grammar if chunked else prepare(grammar, Options.none())
+            program = compile_program(source, profiled=True)
+            VMParser(program, "ac", profile=profile).parse()
         return profile
 
     @pytest.mark.parametrize("backend", ["interp", "vm"])
@@ -208,17 +211,6 @@ class TestReports:
         assert report.productions[0].name == "X"
 
 
-class TestMemoEvents:
-    def test_maps_indices_to_names(self):
-        profile = ParseProfile()
-        events = MemoEvents(profile, ["Alpha", "Beta"])
-        events.miss(0, 0)
-        events.hit(1, 0, (1, None))
-        events.store(0, 0, (1, None))  # stores are not separately counted
-        assert profile.memo_misses == {"Alpha": 1}
-        assert profile.memo_hits == {"Beta": 1}
-
-
 class TestRunner:
     def test_profile_corpus_counts_rejections(self):
         report = profile_corpus(tiny_grammar(), ["ab", "ac", "nope"], "interp")
@@ -231,6 +223,9 @@ class TestRunner:
             profile_corpus(tiny_grammar(), ["ab"], "warp-drive")
 
     def test_backends_agree_on_counts(self):
+        def outcomes(report):
+            return {p.name: (p.successes, p.failures) for p in report.productions}
+
         texts = ["ab", "ac", "zz"]
         reports = {
             backend: profile_corpus(tiny_grammar(), texts, backend)
@@ -241,6 +236,8 @@ class TestRunner:
             assert report.invocations == baseline.invocations
             assert report.memo_hits == baseline.memo_hits
             assert report.memo_misses == baseline.memo_misses
+            # Memo-served applications count as successes and failures too.
+            assert outcomes(report) == outcomes(baseline)
             assert report.backtracks == baseline.backtracks
             assert report.coverage_ratio() == baseline.coverage_ratio()
             assert report.rejected == baseline.rejected

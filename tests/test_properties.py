@@ -185,7 +185,7 @@ def test_random_grammar_backends_agree(grammar, source):
     assert generated(source).match_prefix()[0] == reference
     assert VMParser(compile_program(prepared), source).match_prefix()[0] == reference
     incremental = compile_program(prepared, incremental=True)
-    assert VMParser(incremental, source, incremental=True).match_prefix()[0] == reference
+    assert VMParser(incremental, source).match_prefix()[0] == reference
 
     # The unoptimized pipeline agrees too.
     unoptimized = prepare(grammar, Options.none(), check=False)

@@ -23,6 +23,7 @@ from repro.optim import Options, prepare
 from repro.peg.builder import GrammarBuilder, lit, plus, ref, seq
 from repro.peg.expr import Literal, Option, Repetition
 from repro.profile import ParseProfile
+from repro.runtime.memo import ChunkedMemoTable, IncrementalMemoTable
 from repro.runtime.node import structural_diff
 from repro.vm import VMParser, compile_program, disassemble, machine, summarize
 
@@ -78,6 +79,11 @@ class TestParity:
     def test_profile_requires_profiled_program(self, jay_program):
         with pytest.raises(AnalysisError):
             VMParser(jay_program, JAY_TEXT, profile=ParseProfile())
+
+    def test_profiled_program_requires_profile(self, jay_lang):
+        # Refused when the parser is built, not mid-parse at a probe op.
+        with pytest.raises(AnalysisError, match="profile"):
+            VMParser(jay_lang.vm_program(profiled=True), JAY_TEXT)
 
 
 # -- api wiring ---------------------------------------------------------------
@@ -138,9 +144,29 @@ class TestParserApi:
         with pytest.raises(AnalysisError):
             VMParser(calc_program, "1").parse("Nope")
 
-    def test_unchunked_mode(self, calc_program):
-        chunked = VMParser(calc_program, "1+2").parse()
-        assert VMParser(calc_program, "1+2", chunked=False).parse() == chunked
+    def test_unchunked_program_reads_the_chunked_memo(self, calc_program):
+        # Options.chunks picks the generated parser's and the interpreter's
+        # memo layout; the machine has one.
+        grammar = repro.load_grammar("calc.Calculator")
+        prepared = prepare(grammar, Options.all().without("chunks"))
+        parser = VMParser(compile_program(prepared), "1+2")
+        assert type(parser._memo) is ChunkedMemoTable
+        assert parser.parse() == VMParser(calc_program, "1+2").parse()
+
+    def test_incremental_program_runs_the_incremental_loop(self, jay_lang):
+        program = jay_lang.vm_program(incremental=True)
+        parser = VMParser(program, JAY_TEXT)
+        assert type(parser._memo) is IncrementalMemoTable
+        session = jay_lang.incremental()
+        session.set_text(JAY_TEXT)
+        assert structural_diff(parser.parse(), session.parse()) is None
+        session.set_text(JAY_BAD)
+        with pytest.raises(ParseError) as by_session:
+            session.parse()
+        with pytest.raises(ParseError) as by_parser:
+            parser.reset(JAY_BAD).parse()
+        assert by_parser.value.offset == by_session.value.offset
+        assert by_parser.value.expected == by_session.value.expected
 
     def test_transient_productions_not_memoized(self):
         builder = GrammarBuilder("t", start="S")
